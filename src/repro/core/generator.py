@@ -30,6 +30,7 @@ from repro.core.properties import (
     Temporal,
 )
 from repro.errors import GenerationError
+from repro.memo import BoundedMemo
 from repro.tl.compile import compile_temporal
 from repro.statemachine.model import (
     ANY_EVENT,
@@ -461,6 +462,11 @@ class MonitorPlan:
         return self.prop_for_machine.get(machine_name)
 
 
+#: Plans by (property tuple, sharing flag), with the properties they
+#: were built from.
+_PLANS = BoundedMemo("generator.plans", 64)
+
+
 def build_monitor_plan(
     props: Iterable[Property], share_subformulas: bool = True
 ) -> MonitorPlan:
@@ -470,8 +476,37 @@ def build_monitor_plan(
     subformulas share one sub-monitor (disable with
     ``share_subformulas=False`` to measure the sharing win); the six
     fixed kinds keep their one-property-one-machine templates.
+
+    Memoized by the property tuple and the sharing flag: every caller
+    gets a fresh :class:`MonitorPlan` over the same machines.
     """
-    prop_list = list(props)
+    prop_list = tuple(props)
+    cached, plan = _PLANS.get_or_build(
+        (prop_list, bool(share_subformulas)),
+        lambda: (prop_list, _build_plan(prop_list, share_subformulas)))
+    if not _same_properties(cached, prop_list):
+        return _build_plan(prop_list, share_subformulas)
+    return MonitorPlan(
+        machines=list(plan.machines),
+        prop_for_machine=dict(plan.prop_for_machine),
+        sub_owners={name: list(owners)
+                    for name, owners in plan.sub_owners.items()},
+        naive_monitors=plan.naive_monitors,
+    )
+
+
+def _same_properties(cached: tuple, props: tuple) -> bool:
+    """Whether equal property tuples are also equal to the letter.
+
+    Dataclass equality says ``0 == 0.0`` and ignores formula source
+    positions, but a constant's type shows in the generated machines,
+    so an equal tuple only hits when every property is the cached object
+    or prints the same; otherwise the plan is built afresh, uncached.
+    """
+    return all(a is b or repr(a) == repr(b) for a, b in zip(cached, props))
+
+
+def _build_plan(prop_list: tuple, share_subformulas: bool) -> MonitorPlan:
     temporals = [p for p in prop_list if isinstance(p, Temporal)]
     plan = MonitorPlan()
     roots: Dict[str, StateMachine] = {}

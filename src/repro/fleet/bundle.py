@@ -37,7 +37,8 @@ from typing import Dict, Optional, Tuple, Union
 
 from repro.core.generator import generate_machines
 from repro.errors import FleetError
-from repro.spec.validator import load_properties
+from repro.memo import BoundedMemo
+from repro.spec.validator import app_facts, load_properties
 from repro.statemachine.codegen_python import generate_python_source
 from repro.statemachine.textual import print_machine
 from repro.taskgraph.app import Application
@@ -218,13 +219,29 @@ def apply_delta(base: MonitorBundle, delta: BundleDelta) -> MonitorBundle:
     return target
 
 
+#: Bundles by (spec, application facts, version, name).
+_BUNDLES = BoundedMemo("bundle.bundles", 64)
+
+
 def build_bundle(
     spec: str,
     app: Application,
     version: int,
     name: str = "monitor",
 ) -> MonitorBundle:
-    """Compile ``spec`` against ``app`` into an installable bundle."""
+    """Compile ``spec`` against ``app`` into an installable bundle.
+
+    Memoized by content; bundles are frozen, so callers share one.
+    """
+    # The version's type is part of the key: 1 and 1.0 are equal keys
+    # but print differently in the payload.
+    key = (spec, app_facts(app), type(version), version, name)
+    return _BUNDLES.get_or_build(
+        key, lambda: _build_bundle(spec, app, version, name))
+
+
+def _build_bundle(spec: str, app: Application, version: int,
+                  name: str) -> MonitorBundle:
     props = load_properties(spec, app)
     machines = generate_machines(props)
     textual = tuple(sorted((m.name, print_machine(m)) for m in machines))

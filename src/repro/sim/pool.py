@@ -24,14 +24,14 @@ while keeping the serial contract intact:
 Two execution backends share that contract:
 
 * :class:`PersistentPool` — the default for *portable* (picklable)
-  work. Workers are forked **once** and kept alive across calls; they
-  self-schedule chunks of work from a shared task queue (chunked
-  work-stealing: an idle worker pulls the next chunk, so a slow chunk
-  never stalls the rest), return fixed-layout numeric rows through a
+  work. Workers are forked **once** and kept alive across calls; the
+  parent hands the next chunk of work to whichever worker goes idle
+  first (so a slow chunk never stalls the rest) over that worker's own
+  pipe, workers return fixed-layout numeric rows through a
   shared-memory table (:class:`SharedRowTable`) instead of pickling
-  them through a pipe, and are detected + re-forked if they die
-  mid-chunk (the dead worker's claimed chunks are re-queued; chunks
-  that keep killing workers fail after ``max_chunk_retries``). This is
+  them through the pipe, and are detected + re-forked if they die,
+  busy or idle (the dead worker's chunk is re-queued; chunks that keep
+  killing workers fail after ``max_chunk_retries``). This is
   the execution backend of the fleet control plane
   (:mod:`repro.fleet.control`) and fixes the fork-per-call overhead
   that made small sharded sweeps *slower* than serial runs.
@@ -58,6 +58,7 @@ import pickle
 import struct
 import threading
 import time
+from collections import deque
 from pathlib import Path
 from typing import (
     Any,
@@ -318,26 +319,42 @@ class SharedRowTable:
     def write_remote(name: str, n_fields: int, slot: int,
                      values: Sequence[float]) -> None:
         """Worker-side write into the parent's table (attach by name)."""
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=name)
+        shm = _attach_untracked(name)
         try:
             struct.pack_into(f"{n_fields}d", shm.buf, slot * n_fields * 8,
                              *values)
         finally:
             shm.close()
-            # Attaching registered the segment with this process's
-            # resource tracker; the parent owns the unlink, so drop the
-            # registration to avoid spurious leak warnings at exit.
-            try:
-                from multiprocessing import resource_tracker
-                resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:
-                pass
+
+
+def _attach_untracked(name: str):
+    """Attach to the parent's segment without telling any resource
+    tracker.
+
+    The parent owns the segment: it registered it at creation and
+    unregisters it at unlink. A worker forked after the parent's
+    tracker started shares that tracker, so a worker-side
+    register/unregister pair would drop the parent's own registration
+    and the parent's unlink would then fail inside the tracker
+    (``KeyError`` at exit). Attaching untracked also keeps workers from
+    starting trackers of their own.
+    """
+    from multiprocessing import resource_tracker, shared_memory
+
+    try:
+        return shared_memory.SharedMemory(name=name, track=False)
+    except TypeError:  # Python < 3.13 has no ``track``
+        pass
+    register = resource_tracker.register
+    resource_tracker.register = lambda name, rtype: None
+    try:
+        return shared_memory.SharedMemory(name=name)
+    finally:
+        resource_tracker.register = register
 
 
 # ---------------------------------------------------------------------------
-# Persistent worker pool (chunked work-stealing)
+# Persistent worker pool (chunked, demand-driven)
 # ---------------------------------------------------------------------------
 
 
@@ -369,31 +386,41 @@ class PoolItemError:
         return f"PoolItemError({self.tag!r}, {self.payload!r})"
 
 
-def _pool_worker(task_q, result_q) -> None:
-    """Worker loop: pull chunks from the shared queue until ``stop``.
+def _pool_worker(conn, inherited: Sequence[Any] = ()) -> None:
+    """Worker loop: run the chunks the parent sends until ``stop``.
 
-    Each chunk message carries its own pickled context (small — a task
-    descriptor, not the work), so a worker forked at pool creation can
-    execute work that was defined afterwards. Per-item failures come
-    back as verdicts; only a hard crash (signal, ``os._exit``) kills
-    the worker, and the parent detects that and re-queues the chunk.
+    ``inherited`` are the parent-side pipe ends this worker got at fork
+    (its own and its siblings'). They are closed first, so the parent's
+    death reaches the worker as end-of-file instead of orphaning it.
+
+    The worker owns one end of a private pipe; nothing it blocks on is
+    shared with another worker, so killing it at any point cannot wedge
+    the rest of the pool. A chunk message carries the pickled task
+    context only when it differs from the one the worker already holds
+    (small — a task descriptor, not the work), so a worker forked at
+    pool creation can execute work defined afterwards. Per-item
+    failures come back as verdicts; only a hard crash (signal,
+    ``os._exit``) kills the worker, and the parent detects that and
+    re-queues the chunk.
     """
-    ctx_cache: Dict[bytes, Any] = {}
-    pid = os.getpid()
+    for end in inherited:
+        end.close()
+    task = None
     while True:
-        msg = task_q.get()
+        try:
+            msg = conn.recv()
+        except (EOFError, OSError):
+            return  # the parent is gone
         if msg[0] == "stop":
             return
-        _, chunk_id, ctx_digest, ctx_bytes, pairs, shm_name, n_fields = msg
-        result_q.put(("claim", chunk_id, pid))
-        try:
-            task = ctx_cache.get(ctx_digest)
-            if task is None:
+        _, chunk_id, ctx_bytes, pairs, shm_name, n_fields = msg
+        if ctx_bytes is not None:
+            try:
                 task = pickle.loads(ctx_bytes)
-                ctx_cache[ctx_digest] = task
-        except BaseException as exc:
-            result_q.put(("chunkerr", chunk_id, pid, repr(exc)))
-            continue
+            except BaseException as exc:
+                task = None
+                conn.send(("chunkerr", chunk_id, repr(exc)))
+                continue
         out: List[Tuple[Any, ...]] = []
         for slot, item in pairs:
             try:
@@ -417,11 +444,25 @@ def _pool_worker(task_q, result_q) -> None:
                         written = False
             out.append(("okshm", slot, None) if written
                        else ("ok", slot, value))
-        result_q.put(("done", chunk_id, pid, out))
+        conn.send(("done", chunk_id, out))
+
+
+class _Worker:
+    """Parent-side handle of one worker: its process, the parent end of
+    its private pipe, the chunk it is running (``None`` when idle) and
+    the digest of the task context it holds."""
+
+    __slots__ = ("process", "conn", "chunk", "ctx_digest")
+
+    def __init__(self, process, conn):
+        self.process = process
+        self.conn = conn
+        self.chunk: Optional[int] = None
+        self.ctx_digest: Optional[bytes] = None
 
 
 class PersistentPool:
-    """Long-lived fork pool with chunked work-stealing.
+    """Long-lived fork pool with chunked, demand-driven scheduling.
 
     Workers are forked once (lazily, on first :meth:`run`) and reused
     across calls — the fix for the fork-per-call overhead that made
@@ -432,16 +473,18 @@ class PersistentPool:
     >>> rows = pool.run(some_module_level_callable, [0, 1, 2, 3])
 
     Scheduling is self-balancing: the items are split into
-    ``~4 x jobs`` chunks pushed onto one shared queue, and each idle
-    worker steals the next chunk, so a slow chunk delays only the
-    worker that claimed it. Results return through a shared-memory
-    row table when the task provides ``encode_row``/``decode_row``
-    (fixed float64 layout, no pickling), otherwise through the result
-    queue. A worker that dies mid-chunk is detected by liveness
-    polling; its claimed chunks are re-queued and a replacement is
-    forked (``restarts`` counts these). A chunk that keeps killing
-    workers fails the run after ``max_chunk_retries`` attempts instead
-    of looping forever.
+    ``~4 x jobs`` chunks, and the parent hands the next chunk to
+    whichever worker goes idle first, so a slow chunk delays only the
+    worker running it. Each worker talks to the parent over its own
+    pipe; no lock is shared between workers, so a worker killed at any
+    moment — mid-chunk or idle — takes nothing down with it. Results
+    return through a shared-memory row table when the task provides
+    ``encode_row``/``decode_row`` (fixed float64 layout, no pickling),
+    otherwise through the pipe. A dead worker is detected by its
+    process sentinel; its chunk is re-queued and a replacement is
+    forked (``restarts`` counts these, including workers found dead
+    between runs). A chunk that keeps killing workers fails the run
+    after ``max_chunk_retries`` attempts instead of looping forever.
     """
 
     def __init__(self, jobs: int, restart: bool = True,
@@ -455,9 +498,7 @@ class PersistentPool:
         self.restarts = 0
         self.chunks_dispatched = 0
         self._ctx = multiprocessing.get_context("fork")
-        self._task_q = None
-        self._result_q = None
-        self._workers: List[Any] = []
+        self._workers: List[_Worker] = []
         self._chunk_seq = 0
         self._lock = threading.Lock()
         self._closed = False
@@ -466,52 +507,50 @@ class PersistentPool:
     def _ensure_workers(self) -> None:
         if self._closed:
             raise PoolError("pool is closed")
-        if self._task_q is None:
-            self._task_q = self._ctx.Queue()
-            # Results travel over a SimpleQueue on purpose: its put()
-            # is a synchronous, lock-protected pipe write, so a worker
-            # that hard-crashes right after reporting cannot lose the
-            # message in a feeder-thread buffer the way mp.Queue does —
-            # the claim/done protocol the death detector relies on
-            # would otherwise be unreliable.
-            self._result_q = self._ctx.SimpleQueue()
-        self._workers = [w for w in self._workers if w.is_alive()]
+        for worker in [w for w in self._workers if not w.process.is_alive()]:
+            self._drop(worker)
+            self.restarts += 1
         while len(self._workers) < self.jobs:
             self._spawn()
 
     def _spawn(self) -> None:
-        worker = self._ctx.Process(
-            target=_pool_worker, args=(self._task_q, self._result_q),
-            daemon=True)
-        worker.start()
-        self._workers.append(worker)
+        parent_end, child_end = self._ctx.Pipe(duplex=True)
+        inherited = [parent_end] + [w.conn for w in self._workers]
+        process = self._ctx.Process(target=_pool_worker,
+                                    args=(child_end, inherited), daemon=True)
+        process.start()
+        # Only the worker may hold its end: the parent's copy would keep
+        # the pipe open past the worker's death and hide the EOF.
+        child_end.close()
+        self._workers.append(_Worker(process, parent_end))
         self.forks += 1
+
+    def _drop(self, worker: _Worker) -> None:
+        self._workers.remove(worker)
+        worker.conn.close()
+        worker.process.join(timeout=0)
 
     @property
     def alive_workers(self) -> int:
-        return sum(1 for w in self._workers if w.is_alive())
+        return sum(1 for w in self._workers if w.process.is_alive())
 
     def close(self) -> None:
-        """Stop the workers and drop the queues (idempotent)."""
+        """Stop the workers and close their pipes (idempotent)."""
         with self._lock:
-            if self._task_q is not None:
-                for _ in self._workers:
-                    try:
-                        self._task_q.put(("stop",))
-                    except Exception:
-                        pass
+            for worker in self._workers:
+                try:
+                    worker.conn.send(("stop",))
+                except (OSError, ValueError):
+                    pass
             deadline = time.monotonic() + 2.0
             for worker in self._workers:
-                worker.join(timeout=max(0.0, deadline - time.monotonic()))
-                if worker.is_alive():
-                    worker.terminate()
-            if self._task_q is not None:
-                self._task_q.close()
-                self._task_q.cancel_join_thread()
-            if self._result_q is not None:
-                self._result_q.close()
+                worker.process.join(
+                    timeout=max(0.0, deadline - time.monotonic()))
+                if worker.process.is_alive():
+                    worker.process.terminate()
+                    worker.process.join(timeout=1.0)
+                worker.conn.close()
             self._workers = []
-            self._task_q = self._result_q = None
             self._closed = True
 
     # -- execution ---------------------------------------------------------
@@ -557,115 +596,159 @@ class PersistentPool:
                 (slot, items[slot])
                 for slot in range(start, min(start + chunk_size, len(items)))
             ]
+        run = _Run(task, items, chunks, ctx_digest, ctx_bytes, table,
+                   n_fields, on_result)
         try:
-            return self._collect(task, items, chunks, ctx_digest, ctx_bytes,
-                                 table, n_fields, timeout, on_result,
-                                 return_errors)
+            return self._collect(run, timeout, return_errors)
         finally:
             if table is not None:
                 table.destroy()
 
-    def _post(self, chunk_id, pairs, ctx_digest, ctx_bytes, table, n_fields):
-        self._task_q.put(("chunk", chunk_id, ctx_digest, ctx_bytes, pairs,
-                          table.name if table is not None else None, n_fields))
-        self.chunks_dispatched += 1
+    def _dispatch(self, run: "_Run") -> None:
+        """Hand queued chunks to idle workers."""
+        for worker in list(self._workers):
+            if not run.queue:
+                return
+            if worker.chunk is not None:
+                continue
+            chunk_id = run.queue.popleft()
+            fresh = worker.ctx_digest != run.ctx_digest
+            worker.chunk = chunk_id
+            worker.ctx_digest = run.ctx_digest
+            try:
+                worker.conn.send((
+                    "chunk", chunk_id, run.ctx_bytes if fresh else None,
+                    run.outstanding[chunk_id],
+                    run.table.name if run.table is not None else None,
+                    run.n_fields))
+            except (OSError, ValueError):
+                continue  # died idle; the sentinel reports it next
+            self.chunks_dispatched += 1
 
-    def _collect(self, task, items, chunks, ctx_digest, ctx_bytes, table,
-                 n_fields, timeout, on_result, return_errors=False):
-        results: List[Any] = [None] * len(items)
-        done_slots = [False] * len(items)
-        errors: Dict[int, Tuple[str, Any]] = {}
-        outstanding = dict(chunks)
-        claimed: Dict[int, int] = {}
-        attempts: Dict[int, int] = {c: 1 for c in chunks}
-        shm_slots: List[int] = []
+    def _collect(self, run: "_Run", timeout, return_errors=False):
+        from multiprocessing.connection import wait
+
         deadline = None if timeout is None else time.monotonic() + timeout
-        for chunk_id, pairs in chunks.items():
-            self._post(chunk_id, pairs, ctx_digest, ctx_bytes, table,
-                       n_fields)
-        while outstanding:
+        while run.outstanding:
+            self._dispatch(run)
             if deadline is not None and time.monotonic() > deadline:
                 raise PoolError(
-                    f"pool run timed out with {len(outstanding)} chunks "
+                    f"pool run timed out with {len(run.outstanding)} chunks "
                     f"outstanding")
-            if not self._result_q._reader.poll(0.05):
-                self._reap_dead(outstanding, claimed, attempts, ctx_digest,
-                                ctx_bytes, table, n_fields)
-                continue
-            msg = self._result_q.get()
-            kind = msg[0]
-            if kind == "claim":
-                _, chunk_id, pid = msg
-                claimed[chunk_id] = pid
-            elif kind == "chunkerr":
-                _, chunk_id, pid, cause = msg
-                raise PoolError(f"worker {pid} could not load the task "
-                                f"context: {cause}")
-            elif kind == "done":
-                _, chunk_id, pid, out = msg
-                if chunk_id not in outstanding:
-                    continue  # duplicate after a conservative re-queue
-                del outstanding[chunk_id]
-                claimed.pop(chunk_id, None)
-                for verdict in out:
-                    tag, slot, payload = verdict
-                    if done_slots[slot]:
-                        continue
-                    done_slots[slot] = True
-                    if tag == "ok":
-                        results[slot] = payload
-                    elif tag == "okshm":
-                        shm_slots.append(slot)
-                    else:
-                        errors[slot] = (tag, payload)
-                    if on_result is not None and tag in ("ok", "okshm"):
-                        value = results[slot]
-                        if tag == "okshm":
-                            value = task.decode_row(table.read_row(slot))
-                            results[slot] = value
-                        on_result(slot, value)
-        for slot in shm_slots:
-            if results[slot] is None:
-                results[slot] = task.decode_row(table.read_row(slot))
-        if errors:
-            if return_errors:
-                for slot, (tag, payload) in errors.items():
-                    results[slot] = PoolItemError(tag, payload)
-            else:
-                slot = min(errors)
-                tag, payload = errors[slot]
-                if tag == "errsweep":
-                    stage, point, cause = payload
-                    raise SweepPointError(stage, point, cause)
-                raise PoolError(f"task failed for item {items[slot]!r}: "
-                                f"{payload}")
-        return results
+            by_conn = {w.conn: w for w in self._workers
+                       if w.chunk is not None}
+            by_sentinel = {w.process.sentinel: w for w in self._workers}
+            dead: List[_Worker] = []
+            for ready in wait(
+                    list(by_conn) + list(by_sentinel), timeout=0.05):
+                worker = by_conn.get(ready)
+                if worker is None:
+                    dead.append(by_sentinel[ready])
+                    continue
+                try:
+                    msg = worker.conn.recv()
+                except (EOFError, OSError):
+                    dead.append(worker)
+                    continue
+                self._on_message(run, worker, msg)
+            for worker in dict.fromkeys(dead):
+                self._reap(run, worker)
+        return run.results(return_errors)
 
-    def _reap_dead(self, outstanding, claimed, attempts, ctx_digest,
-                   ctx_bytes, table, n_fields) -> None:
-        """Re-queue chunks claimed by dead workers; fork replacements."""
-        dead = [w for w in self._workers if not w.is_alive()]
-        if not dead:
-            return
-        dead_pids = {w.pid for w in dead}
-        self._workers = [w for w in self._workers if w.is_alive()]
-        if not self.restart and not self._workers:
-            raise PoolError("all pool workers died and restart is disabled")
-        lost = [cid for cid, pid in claimed.items()
-                if pid in dead_pids and cid in outstanding]
-        for chunk_id in lost:
-            attempts[chunk_id] += 1
-            if attempts[chunk_id] > self.max_chunk_retries:
+    def _on_message(self, run: "_Run", worker: _Worker, msg) -> None:
+        kind, chunk_id = msg[0], msg[1]
+        worker.chunk = None
+        if kind == "chunkerr":
+            worker.ctx_digest = None
+            raise PoolError(f"worker {worker.process.pid} could not load "
+                            f"the task context: {msg[2]}")
+        run.finish(chunk_id, msg[2])
+
+    def _reap(self, run: "_Run", worker: _Worker) -> None:
+        """Handle a dead worker: take what it sent before dying,
+        re-queue its chunk, fork a replacement."""
+        try:
+            while worker.chunk is not None and worker.conn.poll():
+                self._on_message(run, worker, worker.conn.recv())
+        except (EOFError, OSError):
+            pass  # a torn last message: the chunk is simply re-run
+        chunk_id = worker.chunk
+        self._drop(worker)
+        if chunk_id is not None and chunk_id in run.outstanding:
+            run.crashes[chunk_id] = run.crashes.get(chunk_id, 0) + 1
+            if run.crashes[chunk_id] >= self.max_chunk_retries:
                 raise PoolError(
                     f"chunk {chunk_id} crashed its worker "
                     f"{self.max_chunk_retries} times; giving up")
-            claimed.pop(chunk_id, None)
-            self._post(chunk_id, outstanding[chunk_id], ctx_digest,
-                       ctx_bytes, table, n_fields)
+            run.queue.appendleft(chunk_id)
         if self.restart:
-            while len(self._workers) < self.jobs:
-                self._spawn()
-                self.restarts += 1
+            self._spawn()
+            self.restarts += 1
+        elif not self._workers:
+            raise PoolError("all pool workers died and restart is disabled")
+
+
+class _Run:
+    """Book-keeping of one :meth:`PersistentPool.run`: the chunks still
+    owed, the queue of chunks not yet handed out, per-chunk crash
+    counts, and the results gathered so far."""
+
+    def __init__(self, task, items, chunks, ctx_digest, ctx_bytes, table,
+                 n_fields, on_result):
+        self.task = task
+        self.items = items
+        self.outstanding: Dict[int, List[Tuple[int, Any]]] = dict(chunks)
+        self.queue = deque(chunks)
+        self.crashes: Dict[int, int] = {}
+        self.ctx_digest = ctx_digest
+        self.ctx_bytes = ctx_bytes
+        self.table = table
+        self.n_fields = n_fields
+        self.on_result = on_result
+        self._values: List[Any] = [None] * len(items)
+        self._done = [False] * len(items)
+        self._errors: Dict[int, Tuple[str, Any]] = {}
+        self._shm_slots: List[int] = []
+
+    def finish(self, chunk_id: int, out) -> None:
+        if chunk_id not in self.outstanding:
+            return  # a chunk of an earlier, aborted run
+        del self.outstanding[chunk_id]
+        for tag, slot, payload in out:
+            if self._done[slot]:
+                continue
+            self._done[slot] = True
+            if tag == "ok":
+                self._values[slot] = payload
+            elif tag == "okshm":
+                self._shm_slots.append(slot)
+            else:
+                self._errors[slot] = (tag, payload)
+            if self.on_result is not None and tag in ("ok", "okshm"):
+                if tag == "okshm":
+                    self._values[slot] = self.task.decode_row(
+                        self.table.read_row(slot))
+                self.on_result(slot, self._values[slot])
+
+    def results(self, return_errors: bool) -> List[Any]:
+        results = self._values
+        for slot in self._shm_slots:
+            if results[slot] is None:
+                results[slot] = self.task.decode_row(
+                    self.table.read_row(slot))
+        if not self._errors:
+            return results
+        if return_errors:
+            for slot, (tag, payload) in self._errors.items():
+                results[slot] = PoolItemError(tag, payload)
+            return results
+        slot = min(self._errors)
+        tag, payload = self._errors[slot]
+        if tag == "errsweep":
+            stage, point, cause = payload
+            raise SweepPointError(stage, point, cause)
+        raise PoolError(f"task failed for item {self.items[slot]!r}: "
+                        f"{payload}")
 
 
 #: Shared persistent pools, one per worker count; reused across sweeps,

@@ -36,6 +36,7 @@ from repro.core.properties import (
     Temporal,
 )
 from repro.errors import SpecValidationError
+from repro.memo import BoundedMemo
 from repro.spec.ast import Clause, PropertyDecl, SpecModel
 from repro.spec.parser import parse_spec
 from repro.taskgraph.app import Application
@@ -448,6 +449,29 @@ def validate(model: SpecModel, app: Application) -> PropertySet:
     return props
 
 
+#: Validated properties by (spec text, :func:`app_facts`).
+_PROPERTIES = BoundedMemo("spec.properties", 64)
+
+
+def app_facts(app: Application) -> tuple:
+    """Everything :func:`validate` reads from an application, as a
+    hashable key: its name, each task with its monitored variables, and
+    the paths."""
+    return (
+        app.name,
+        tuple((name, tuple(task.monitored_vars))
+              for name, task in app.tasks.items()),
+        tuple((path.number, tuple(path.task_names)) for path in app.paths),
+    )
+
+
 def load_properties(source: str, app: Application) -> PropertySet:
-    """Parse + validate in one step."""
-    return validate(parse_spec(source), app)
+    """Parse + validate in one step.
+
+    Memoized by (``source``, :func:`app_facts`): every caller gets a
+    fresh :class:`PropertySet` over the same frozen properties.
+    """
+    props = _PROPERTIES.get_or_build(
+        (source, app_facts(app)),
+        lambda: tuple(validate(parse_spec(source), app)))
+    return PropertySet(list(props))

@@ -11,9 +11,11 @@ differential-testable.
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Dict, MutableMapping, Optional, Type
 
 from repro.errors import GenerationError, StateMachineError
+from repro.memo import BoundedMemo
 from repro.statemachine.interpreter import Verdict
 from repro.statemachine.model import (
     ANY_EVENT,
@@ -176,14 +178,54 @@ def class_name(machine: StateMachine) -> str:
     return f"Monitor_{machine.name}"
 
 
+#: Compiled monitor classes by generated source text.
+_CLASSES = BoundedMemo("codegen.classes", 512)
+
+#: Identity fast path: ``id(machine) -> (machine, shape, class)`` skips
+#: regenerating the source of a machine compiled before and unchanged
+#: since. The entry holds the machine, so its id cannot be reused.
+_BY_MACHINE = BoundedMemo("codegen.machines", 1024)
+
+
+def _shape(machine: StateMachine) -> tuple:
+    """Everything :func:`generate_python_source` reads from ``machine``,
+    flattened. The parts are strings, ints and frozen model nodes, so
+    an element-wise identical shape means an identical source."""
+    parts = [machine.name, machine.initial, machine.priority,
+             len(machine.states), *machine.states,
+             len(machine.variables), *machine.variables]
+    for state in machine.states:
+        transitions = machine.transitions_from(state)
+        parts.append(len(transitions))
+        parts.extend(transitions)
+    return tuple(parts)
+
+
 def compile_machine(machine: StateMachine) -> Type:
-    """Generate, compile, and return the monitor class for ``machine``."""
+    """Generate, compile, and return the monitor class for ``machine``.
+
+    Each distinct source is compiled once per process; machines that
+    generate the same source share one class.
+    """
+    shape = _shape(machine)
+    entry = _BY_MACHINE.get(id(machine))
+    if (entry is not None and entry[0] is machine
+            and len(entry[1]) == len(shape)
+            and all(map(operator.is_, entry[1], shape))):
+        return entry[2]
     source = generate_python_source(machine)
+    cls = _CLASSES.get_or_build(source, lambda: _compile(source, machine))
+    _BY_MACHINE.put(id(machine), (machine, shape, cls))
+    return cls
+
+
+def _compile(source: str, machine: StateMachine) -> Type:
     namespace: Dict[str, Any] = {
         "Verdict": Verdict,
         "StateMachineError": StateMachineError,
     }
-    code = compile(source, filename=f"<generated monitor {machine.name}>", mode="exec")
+    code = compile(source, filename=f"<generated monitor {machine.name}>",
+                   mode="exec")
     exec(code, namespace)  # noqa: S102 - executing our own generated code
     return namespace[class_name(machine)]
 

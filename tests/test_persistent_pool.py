@@ -4,6 +4,11 @@ transport, worker-death recovery, and sweep-strategy parity
 
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 
 import pytest
 
@@ -201,6 +206,34 @@ class TestSharedMemoryTransport:
         assert dict(streamed) == {i: rows[i] for i in range(12)}
 
 
+_SHM_RUNS = textwrap.dedent("""
+    from repro.sim.pool import PersistentPool
+    from tests.test_persistent_pool import ShmTask
+
+    for _ in range(3):
+        pool = PersistentPool(jobs=2)
+        rows = pool.run(ShmTask(), list(range(8)))
+        assert rows == [{"a": float(x), "b": x / 2.0} for x in range(8)]
+        pool.close()
+""")
+
+
+@fork_only
+class TestSharedMemoryTracking:
+    def test_repeated_pools_leave_the_resource_tracker_quiet(self):
+        # Pools forked after the parent's resource tracker started share
+        # it; a worker must not unregister the parent's segments there,
+        # or the tracker prints KeyError tracebacks at exit.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(root, "src"), root]))
+        proc = subprocess.run([sys.executable, "-c", _SHM_RUNS], cwd=root,
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
+
 @fork_only
 class TestWorkerDeathRecovery:
     def test_crashed_worker_restarts_and_chunk_retries(self, tmp_path):
@@ -223,6 +256,28 @@ class TestWorkerDeathRecovery:
             with pytest.raises(PoolError, match="crashed its worker"):
                 pool.run(CrashAlways(), list(range(6)), chunk_size=6,
                          timeout=60.0)
+        finally:
+            pool.close()
+
+    def test_sigkilled_idle_workers_do_not_wedge_the_pool(self):
+        # An idle worker is blocked waiting for work; killing it there
+        # must not leave anything behind that the others wait on.
+        pool = PersistentPool(jobs=2)
+        try:
+            assert pool.run(square, list(range(4))) == [0, 1, 4, 9]
+            pids = {p.pid for p in multiprocessing.active_children()}
+            assert len(pids) == 2
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            deadline = time.monotonic() + 10.0
+            while pool.alive_workers and time.monotonic() < deadline:
+                time.sleep(0.01)
+            rows = pool.run(square, list(range(16)), timeout=20.0)
+            assert rows == [x * x for x in range(16)]
+            assert pool.restarts == 2
+            assert pool.alive_workers == 2
+            assert not {p.pid for p in multiprocessing.active_children()} \
+                & pids
         finally:
             pool.close()
 
