@@ -863,9 +863,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "amortizes over)")
     p_fleet.add_argument("--expand-limit", dest="expand_limit", type=int,
                          default=100_000,
-                         help="largest lockstep wave expanded to per-device "
-                              "telemetry; bigger waves use the compact "
-                              "per-cohort rollup (default: 100000)")
+                         help="largest lockstep wave summarized over "
+                              "per-device rows; bigger waves send one "
+                              "weighted row per cohort (default: 100000)")
     p_fleet.add_argument("--cache", nargs="?", const=".repro_cache",
                          default=None, metavar="DIR",
                          help="serve unchanged devices from a result "

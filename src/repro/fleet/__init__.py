@@ -12,8 +12,8 @@ the device. This package exercises that claim end-to-end:
   atomic activation, boot-loop rollback, and per-property migration.
 * :mod:`repro.fleet.device` — an ``UpdatableRuntime`` wrapper that
   receives, installs, and hot-swaps monitor sets at path boundaries.
-* :mod:`repro.fleet.telemetry` / :mod:`repro.fleet.server` — per-device
-  telemetry aggregated into fleet summaries, and a ``FleetServer``
+* :mod:`repro.fleet.telemetry` / :mod:`repro.fleet.server` — weighted
+  telemetry rows folded into fleet summaries, and a ``FleetServer``
   pushing staged rollouts (waves, halt-on-regression) to N simulated
   devices.
 * :mod:`repro.fleet.control` / :mod:`repro.fleet.digest` — the always-on
@@ -45,7 +45,12 @@ from repro.fleet.device import UpdatableRuntime
 from repro.fleet.digest import P2Quantile, QuantileDigest, WindowedRollup
 from repro.fleet.install import BundleInstaller
 from repro.fleet.server import FleetServer, RolloutPlan, RolloutReport
-from repro.fleet.telemetry import DeviceTelemetry, FleetSummary, aggregate
+from repro.fleet.telemetry import (
+    DeviceTelemetry,
+    FleetSummary,
+    aggregate,
+    paired_delta,
+)
 from repro.fleet.transport import ChunkLoss, OtaTransport
 
 __all__ = [
@@ -77,4 +82,5 @@ __all__ = [
     "build_bundle",
     "compat_diff",
     "decode_wire",
+    "paired_delta",
 ]

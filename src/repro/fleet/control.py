@@ -10,7 +10,9 @@ talks to — while keeping the batch path's decisions byte-identical:
   :class:`WaveTask` item (picklable: provision, simulate, report), rows
   come back through a shared-memory table, and every finished device
   becomes a telemetry *event* the moment it lands, not when the wave
-  ends.
+  ends. A lockstep plan takes a wave's rows from the batched core
+  instead — one per device, or one per cohort weighted by its lane
+  count — and sends them down the same path.
 * **Ingestion** — events flow through a bounded
   :class:`TelemetryQueue` with explicit backpressure (``block``: the
   producer — and transitively the worker pool collector — waits;
@@ -19,8 +21,8 @@ talks to — while keeping the batch path's decisions byte-identical:
   :class:`ShardedRegistry` of per-shard device records and windowed
   percentile rollups (:mod:`repro.fleet.digest`).
 * **Decisions** — a :class:`TelemetryGate` evaluates the paired-control
-  delta over the telemetry the consumer actually received and promotes
-  or halts the next wave; every decision is appended to a wave
+  delta over the weighted rows the consumer actually received and
+  promotes or halts the next wave; every decision is appended to a wave
   *ledger* together with the queue/backpressure stats and rollup
   windows that justified it.
 
@@ -50,7 +52,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro
 from repro.errors import FleetError
@@ -64,8 +66,9 @@ from repro.fleet.server import (
 from repro.fleet.telemetry import (
     UPDATE_OUTCOMES,
     DeviceTelemetry,
-    FleetSummary,
+    WeightedReport,
     aggregate,
+    paired_delta,
 )
 from repro.sim.experiments import SweepPointError
 from repro.sim.pool import (
@@ -93,12 +96,15 @@ class ChaosCrash(FleetError):
 
 @dataclass(frozen=True)
 class TelemetryEvent:
-    """One device report arriving at the plane."""
+    """One telemetry row arriving at the plane."""
 
     device_id: int
     arm: str  # "treatment" | "control"
     row: Dict[str, Any]
     cached: bool = False
+    #: Devices the row stands for: 1 for a per-device report, the lane
+    #: count for a lockstep cohort's representative row.
+    weight: int = 1
 
 
 class TelemetryQueue:
@@ -110,12 +116,15 @@ class TelemetryQueue:
     results until there is room. ``shed_oldest`` (lossy, bounded
     latency): the oldest queued *data* event is discarded to admit the
     new one and ``dropped`` is incremented; end-of-stream sentinels
-    (``None``) are never shed, so stream termination is reliable under
-    any load.
+    (``None``) are never shed, and one that finds the queue full is
+    admitted past capacity instead of shedding a row, so stream
+    termination is reliable under any load and costs no telemetry.
 
-    Counters are exact: ``dropped`` events never reach the consumer,
-    ``blocked_puts`` counts puts that had to wait, ``high_watermark``
-    is the deepest the queue ever got.
+    Counters are exact and count events (rows): ``dropped`` events
+    never reach the consumer, ``blocked_puts`` counts puts that had to
+    wait, ``high_watermark`` is the deepest the queue ever got. A
+    compact lockstep row stands for a whole cohort but is one event;
+    lockstep rows go through :meth:`put_all`, which never sheds.
     """
 
     def __init__(self, capacity: int, policy: str = "block"):
@@ -148,10 +157,35 @@ class TelemetryQueue:
                     self.blocked_puts += 1
                     while len(self._items) >= self.capacity:
                         await self._cond.wait()
-                else:
+                elif item is not None:
                     self._shed_one()
             self._items.append(item)
             self.total_in += 1
+            self.high_watermark = max(self.high_watermark, len(self._items))
+            self._cond.notify_all()
+
+    async def put_all(self, items: Sequence[TelemetryEvent]) -> None:
+        """Put a burst of events the producer holds all at once — a
+        lockstep wave's rows — in order, waiting for room whenever the
+        queue is full under either policy.
+
+        The rows are all ready at once, so a full queue means the
+        consumer has not had its turn yet, not that it is falling
+        behind: waiting gives it that turn, where ``shed_oldest`` would
+        drop rows only for arriving together. One lock round trip per
+        fill, not per row.
+        """
+        async with self._cond:
+            for item in items:
+                if len(self._items) >= self.capacity:
+                    self.blocked_puts += 1
+                    self.high_watermark = max(self.high_watermark,
+                                              len(self._items))
+                    self._cond.notify_all()
+                    while len(self._items) >= self.capacity:
+                        await self._cond.wait()
+                self._items.append(item)
+                self.total_in += 1
             self.high_watermark = max(self.high_watermark, len(self._items))
             self._cond.notify_all()
 
@@ -174,6 +208,18 @@ class TelemetryQueue:
             self.total_out += 1
             self._cond.notify_all()
             return item
+
+    async def get_all(self) -> List[Optional[TelemetryEvent]]:
+        """Every queued item, oldest first; waits while the queue is
+        empty."""
+        async with self._cond:
+            while not self._items:
+                await self._cond.wait()
+            items = list(self._items)
+            self._items.clear()
+            self.total_out += len(items)
+            self._cond.notify_all()
+            return items
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -201,6 +247,9 @@ class DeviceRecord:
     active_version: Optional[int]
     completed: bool
     reported_t: float  # simulated seconds at report time
+    #: Devices the record stands for: the lane count when a compact
+    #: lockstep cohort reported through its representative, else 1.
+    weight: int = 1
 
 
 class ShardedRegistry:
@@ -227,8 +276,15 @@ class ShardedRegistry:
     def shard_of(self, device_id: int) -> int:
         return device_id % self.n_shards
 
-    def record(self, telemetry: DeviceTelemetry) -> None:
-        """Fold one (treatment-arm) report into the registry."""
+    def record(self, telemetry: DeviceTelemetry, weight: int = 1) -> None:
+        """Fold one (treatment-arm) report, standing for ``weight``
+        devices, into the registry.
+
+        A compact lockstep cohort is kept as one record under its
+        representative's id, carrying the weight; every count the
+        registry reports (``devices``, ``shard_sizes``,
+        ``version_counts``, the rollups) counts devices.
+        """
         shard = self.shard_of(telemetry.device_id)
         self._shards[shard][telemetry.device_id] = DeviceRecord(
             device_id=telemetry.device_id,
@@ -236,19 +292,20 @@ class ShardedRegistry:
             active_version=telemetry.active_version,
             completed=telemetry.completed,
             reported_t=telemetry.total_time_s,
+            weight=weight,
         )
         runs = max(1, telemetry.runs_before + telemetry.runs_after)
         rate = (telemetry.violations_before + telemetry.violations_after) \
             / runs
-        self._rollups[shard].add(telemetry.total_time_s, rate)
+        self._rollups[shard].add(telemetry.total_time_s, rate, weight)
         self.events += 1
 
     @property
     def devices(self) -> int:
-        return sum(len(s) for s in self._shards)
+        return sum(self.shard_sizes())
 
     def shard_sizes(self) -> List[int]:
-        return [len(s) for s in self._shards]
+        return [sum(rec.weight for rec in s.values()) for s in self._shards]
 
     def get(self, device_id: int) -> Optional[DeviceRecord]:
         return self._shards[self.shard_of(device_id)].get(device_id)
@@ -258,7 +315,7 @@ class ShardedRegistry:
         for shard in self._shards:
             for rec in shard.values():
                 counts[rec.active_version] = \
-                    counts.get(rec.active_version, 0) + 1
+                    counts.get(rec.active_version, 0) + rec.weight
         return counts
 
     def merged_rollup(self) -> WindowedRollup:
@@ -464,9 +521,10 @@ class ChaosWaveTask(WaveTask):
 class TelemetryGate:
     """Promote/halt decision over a wave's ingested telemetry.
 
-    The signal is the batch path's paired-control delta — computed from
-    the reports the consumer actually received (under ``block`` that is
-    all of them, so the decision is byte-identical to batch; under
+    The signal is the paired-control delta
+    (:func:`~repro.fleet.telemetry.paired_delta`) over the weighted
+    rows the consumer actually received (under ``block`` that is all of
+    them, so the decision is byte-identical to batch; under
     ``shed_oldest`` it is an honest decision over the surviving
     sample).
     """
@@ -474,9 +532,9 @@ class TelemetryGate:
     def __init__(self, plan: RolloutPlan):
         self.plan = plan
 
-    def decide(self, telemetry: List[DeviceTelemetry],
-               control: List[DeviceTelemetry]) -> Tuple[float, bool]:
-        delta = FleetServer._paired_delta(telemetry, control, self.plan)
+    def decide(self, treatment: List[WeightedReport],
+               control: List[WeightedReport]) -> Tuple[float, bool]:
+        delta = paired_delta(treatment, control, self.plan.runs)
         return delta, delta > self.plan.halt_threshold
 
 
@@ -585,15 +643,23 @@ def _run_sync(coro):
     async code) get a private loop on a helper thread instead of a
     nested-loop error.
     """
+    box: Dict[str, Any] = {}
+
+    async def main() -> None:
+        # Keep the result off the main task: on Python 3.11 asyncio.run
+        # formats that task's repr, result included, while restoring
+        # the SIGINT handler — seconds for a report of 50k devices.
+        box["value"] = await coro
+
     try:
         asyncio.get_running_loop()
     except RuntimeError:
-        return asyncio.run(coro)
-    box: Dict[str, Any] = {}
+        asyncio.run(main())
+        return box["value"]
 
     def runner() -> None:
         try:
-            box["value"] = asyncio.run(coro)
+            asyncio.run(main())
         except BaseException as exc:  # re-raised below, on the caller
             box["error"] = exc
 
@@ -677,8 +743,7 @@ class ControlPlane:
         boundaries = [min(n_devices, math.ceil(frac * n_devices))
                       for frac in plan.waves]
         start = 0
-        compact_rows: List[Tuple[Dict[str, Any], int]] = []
-        any_compact = False
+        sent: List[WeightedReport] = []
         for index, end in enumerate(boundaries):
             ids = list(range(start, end))
             start = end
@@ -687,111 +752,123 @@ class ControlPlane:
             began = time.monotonic()
             self._emit("wave_start", wave=index, devices=len(ids),
                        version=version)
-            if plan.lockstep:
-                telemetry, control, summary, delta, rows = \
-                    self.server._run_wave_lockstep(ids, wire, version, plan,
-                                                   self.cache)
-                compact_rows.extend(rows)
-                any_compact = any_compact or not telemetry
-                queue_stats: Dict[str, int] = {}
-                windows: List[Dict[str, Any]] = []
-                halted = delta > plan.halt_threshold
-            else:
-                telemetry, control, summary, delta, halted, queue_stats, \
-                    windows = await self._streamed_wave(index, ids, wire,
-                                                        version)
+            per_device = not plan.lockstep or len(ids) <= plan.expand_limit
+            received, queue = await self._stream(
+                {arm: self._wave_source(arm, arm_wire, version, ids,
+                                        per_device)
+                 for arm, arm_wire in (("treatment", wire),
+                                       ("control", None))},
+                wave=index)
+            treatment, control = received["treatment"], received["control"]
+            delta, halted = self.gate.decide(treatment, control)
+            summary = aggregate(treatment)
+            if queue.dropped:
+                summary = replace(summary, telemetry_dropped=queue.dropped)
+            sent.extend(treatment)
             decision = ("halt" if halted else
                         "complete" if index + 1 == len(boundaries)
                         else "promote")
-            rollback = 0
-            if halted:
-                rollback = sum(
-                    1 for w in report.waves for t in w.telemetry
-                    if t.installed) + sum(1 for t in telemetry
-                                          if t.installed)
+            # Every device running the new version when the gate fires.
+            rollback = (sum(weight for t, weight in sent if t.installed)
+                        if halted else 0)
+            stats = queue.stats()
             self.ledger.append(WaveLedgerEntry(
                 index=index, devices=len(ids),
                 received=summary.devices, regression_delta=delta,
-                decision=decision, queue=queue_stats, windows=windows,
+                decision=decision, queue=stats,
+                windows=self.registry.merged_rollup().to_rows(),
                 elapsed_s=time.monotonic() - began,
                 rollback_devices=rollback,
             ))
             self._emit("wave_decision", wave=index, devices=len(ids),
                        regression_delta=delta, decision=decision,
-                       rollback_devices=rollback, queue=queue_stats)
+                       rollback_devices=rollback, queue=stats)
             report.waves.append(WaveReport(
-                index=index, device_ids=ids, telemetry=telemetry,
-                control=control, summary=summary,
-                regression_delta=delta, halted=halted,
+                index=index, device_ids=ids,
+                telemetry=[t for t, _ in treatment] if per_device else [],
+                control=[t for t, _ in control] if per_device else [],
+                summary=summary, regression_delta=delta, halted=halted,
             ))
             if halted:
                 report.halted = True
                 report.halted_wave = index
                 break
-        if any_compact:
-            from repro.sim.batch import weighted_summary
-            report.summary = weighted_summary(compact_rows)
-        else:
-            report.summary = aggregate(report.all_telemetry())
+        report.summary = aggregate(sent)
         return report
 
-    async def _streamed_wave(self, index: int, ids: List[int],
-                             wire: Optional[bytes], version: int):
-        """One wave, streamed: treatment + paired control produced
-        concurrently through the bounded queue into the registry, gate
-        decision at stream end over the received rows."""
-        cfg = self.config
-        make = self.task_factory
-        tasks = {
-            "treatment": make(self.server.base_spec,
-                              self.server.base_version, wire, version,
-                              self.plan),
-            "control": make(self.server.base_spec, self.server.base_version,
-                            None, version, self.plan),
-        }
-        queue = TelemetryQueue(cfg.queue_capacity, cfg.policy)
-        received: Dict[str, Dict[int, Dict[str, Any]]] = {
-            "treatment": {}, "control": {}}
+    def _wave_source(self, arm: str, wire: Optional[bytes], version: int,
+                     ids: List[int], per_device: bool):
+        """The producer of one arm's rows: per-device pool/inline tasks,
+        or — under ``plan.lockstep`` — the batched core's rows, one per
+        device when ``per_device`` and one per cohort otherwise."""
+        plan = self.plan
+        if not plan.lockstep:
+            task = self.task_factory(self.server.base_spec,
+                                     self.server.base_version, wire,
+                                     version, plan)
+            return lambda queue: self._produce_arm(arm, task, ids, queue)
+
+        async def lockstep(queue: TelemetryQueue) -> None:
+            from repro.sim.batch import BatchFleetCore
+
+            # Runs on the loop thread: the batch core is CPU-bound and
+            # its machine-op tap is process-wide, so the arms take turns.
+            batch = BatchFleetCore(self.server, wire, version, plan).run(
+                ids, cache=self.cache)
+            events = [TelemetryEvent(int(row["device_id"]), arm, row,
+                                     weight=weight)
+                      for row, weight in batch.rows(per_device=per_device)]
+            del batch  # free the arm's lanes before the rows are folded
+            await queue.put_all(events)
+
+        return lockstep
+
+    async def _stream(self, sources: Dict[str, Callable[..., Any]],
+                      **where: Any):
+        """Run every arm's producer concurrently into one bounded queue.
+
+        The consumer folds treatment rows into the registry and emits a
+        ``telemetry`` event for each (``where`` names the wave or
+        cycle). Returns each arm's received ``(report, weight)`` pairs
+        sorted by device id, and the queue (for its stats).
+        """
+        queue = TelemetryQueue(self.config.queue_capacity,
+                               self.config.policy)
+        received: Dict[str, Dict[int, WeightedReport]] = {
+            arm: {} for arm in sources}
 
         async def consume() -> None:
             ended = 0
-            while ended < len(tasks):
-                event = await queue.get()
-                if event is None:
-                    ended += 1
-                    continue
-                received[event.arm][event.device_id] = event.row
-                if event.arm == "treatment":
-                    self.registry.record(DeviceTelemetry.from_row(event.row))
-                    self._emit("telemetry", wave=index,
-                               device_id=event.device_id,
-                               outcome=event.row.get("update_outcome"),
-                               cached=event.cached)
+            while ended < len(sources):
+                for event in await queue.get_all():
+                    if event is None:
+                        ended += 1
+                        continue
+                    telemetry = DeviceTelemetry.from_row(event.row)
+                    received[event.arm][event.device_id] = (telemetry,
+                                                            event.weight)
+                    if event.arm == "treatment":
+                        self.registry.record(telemetry, event.weight)
+                        self._emit("telemetry", **where,
+                                   device_id=event.device_id,
+                                   outcome=telemetry.update_outcome,
+                                   cached=event.cached, weight=event.weight)
 
-        async def produce(arm: str) -> None:
+        async def produce(source) -> None:
             try:
-                await self._produce_arm(arm, tasks[arm], ids, queue)
+                await source(queue)
             finally:
                 await queue.put(None)
 
         consumer = asyncio.ensure_future(consume())
         try:
-            await asyncio.gather(produce("treatment"), produce("control"))
+            await asyncio.gather(*(produce(src) for src in sources.values()))
             await consumer
         except BaseException:
             consumer.cancel()
             raise
-        telemetry = [DeviceTelemetry.from_row(received["treatment"][d])
-                     for d in sorted(received["treatment"])]
-        control = [DeviceTelemetry.from_row(received["control"][d])
-                   for d in sorted(received["control"])]
-        delta, halted = self.gate.decide(telemetry, control)
-        summary = aggregate(telemetry)
-        if queue.dropped:
-            summary = replace(summary, telemetry_dropped=queue.dropped)
-        windows = self.registry.merged_rollup().to_rows()
-        return (telemetry, control, summary, delta, halted, queue.stats(),
-                windows)
+        return ({arm: [rows[d] for d in sorted(rows)]
+                 for arm, rows in received.items()}, queue)
 
     async def _produce_arm(self, arm: str, task: WaveTask, ids: List[int],
                            queue: TelemetryQueue) -> None:
@@ -900,20 +977,27 @@ class ControlPlane:
                                                  new_version)
         version = (report.rollout.new_version if report.rollout is not None
                    else self.server.base_version)
+        task = self.task_factory(self.server.base_spec,
+                                 self.server.base_version, None, version,
+                                 self.plan)
+        ids = list(range(n_devices))
         for cycle in range(cycles):
+            # One monitoring pass: every device simulated on its
+            # installed spec (no update offered), streamed into the
+            # registry.
             began = time.monotonic()
-            telemetry, queue_stats = await self._monitor_cycle(cycle,
-                                                               n_devices,
-                                                               version)
-            summary = aggregate(telemetry)
-            if queue_stats.get("dropped"):
-                summary = replace(summary,
-                                  telemetry_dropped=queue_stats["dropped"])
+            received, queue = await self._stream(
+                {"treatment": lambda q: self._produce_arm("treatment", task,
+                                                          ids, q)},
+                cycle=cycle)
+            summary = aggregate(received["treatment"])
+            if queue.dropped:
+                summary = replace(summary, telemetry_dropped=queue.dropped)
             windows = self.registry.merged_rollup().to_rows()
             entry = {
                 "cycle": cycle,
                 "summary": summary.to_dict(),
-                "queue": queue_stats,
+                "queue": queue.stats(),
                 "windows": windows,
                 "shards": self.registry.shard_sizes(),
                 "versions": {str(k): v for k, v in
@@ -923,44 +1007,3 @@ class ControlPlane:
             report.cycles.append(entry)
             self._emit("cycle", **entry)
         return report
-
-    async def _monitor_cycle(self, cycle: int, n_devices: int,
-                             version: int):
-        """One monitoring pass: every device simulated on its installed
-        spec (no update offered), streamed into the registry."""
-        make = self.task_factory
-        task = make(self.server.base_spec, self.server.base_version, None,
-                    version, self.plan)
-        queue = TelemetryQueue(self.config.queue_capacity,
-                               self.config.policy)
-        rows: Dict[int, Dict[str, Any]] = {}
-
-        async def consume() -> None:
-            while True:
-                event = await queue.get()
-                if event is None:
-                    return
-                rows[event.device_id] = event.row
-                self.registry.record(DeviceTelemetry.from_row(event.row))
-                self._emit("telemetry", cycle=cycle,
-                           device_id=event.device_id,
-                           outcome=event.row.get("update_outcome"),
-                           cached=event.cached)
-
-        async def produce() -> None:
-            try:
-                await self._produce_arm("treatment", task,
-                                        list(range(n_devices)), queue)
-            finally:
-                await queue.put(None)
-
-        consumer = asyncio.ensure_future(consume())
-        try:
-            await produce()
-            await consumer
-        except BaseException:
-            consumer.cancel()
-            raise
-        telemetry = [DeviceTelemetry.from_row(rows[d])
-                     for d in sorted(rows)]
-        return telemetry, queue.stats()

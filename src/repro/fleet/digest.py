@@ -370,19 +370,20 @@ class WindowedRollup:
     def window_start(self, t: float) -> float:
         return self.window_index(t) * self.window_s
 
-    def add(self, t: float, value: float) -> WindowStat:
-        """Fold one sample at time ``t``; returns its window."""
+    def add(self, t: float, value: float, n: int = 1) -> WindowStat:
+        """Fold ``n`` copies of a sample at time ``t``; returns its
+        window."""
         idx = self.window_index(t)
         stat = self._windows.get(idx)
         if stat is None:
             stat = WindowStat(start=idx * self.window_s, width=self.window_s,
                               digest=QuantileDigest(self.relative_error))
             self._windows[idx] = stat
-        stat.count += 1
-        stat.total += value
+        stat.digest.add(value, n)
+        stat.count += n
+        stat.total += value * n
         stat.min = min(stat.min, value)
         stat.max = max(stat.max, value)
-        stat.digest.add(value)
         return stat
 
     @property

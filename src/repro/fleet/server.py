@@ -28,7 +28,7 @@ from repro.errors import FleetError
 from repro.fleet.bundle import build_bundle
 from repro.fleet.device import UpdatableRuntime
 from repro.fleet.install import BundleInstaller
-from repro.fleet.telemetry import DeviceTelemetry, FleetSummary, aggregate
+from repro.fleet.telemetry import DeviceTelemetry, FleetSummary
 from repro.fleet.transport import ChunkLoss, OtaTransport
 from repro.workloads.health import (
     BENCHMARK_SPEC,
@@ -111,19 +111,21 @@ class RolloutPlan:
         use_delta: ship a delta against the installed baseline instead
             of a full bundle.
         seed: perturbs every device's chunk-loss stream.
-        lockstep: run waves through the batched struct-of-arrays core
-            (:class:`repro.sim.batch.BatchFleetCore`) instead of
-            simulating every device individually.
+        lockstep: take waves' rows from the batched struct-of-arrays
+            core (:class:`repro.sim.batch.BatchFleetCore`) instead of
+            simulating every device individually. Either way the rows
+            go through the same queue, registry, gate and ledger.
         seed_mode: ``"per_device"`` seeds each device's RF-mobility
             trace and chunk-loss stream from its id (every device
             unique — the scalar default); ``"per_cohort"`` seeds them
             from the device's energy class, collapsing the fleet into
             four byte-identical cohorts — the homogeneous-fleet shape
             the lockstep core amortizes over.
-        expand_limit: largest wave the lockstep path expands into
-            per-device :class:`~repro.fleet.telemetry.DeviceTelemetry`
-            (byte-identical to scalar); larger waves keep the compact
-            per-cohort rollup (numerically equivalent, weighted sums).
+        expand_limit: largest lockstep wave summarized over
+            per-device rows (byte-identical to the scalar path); a
+            larger wave sends one row per cohort, weighted by its lane
+            count (equal up to the last float bits, since a weighted
+            sum multiplies where the per-device one adds).
     """
 
     waves: Tuple[float, ...] = (0.1, 0.5, 1.0)
@@ -174,7 +176,9 @@ class WaveReport:
     mean per-run increase in corrective actions attributable to the
     update (radio cost included). The self-paired before/after rates in
     ``summary`` are observational only; they are biased when the
-    download finishes early in the simulation.
+    download finishes early in the simulation. ``telemetry`` and
+    ``control`` hold per-device reports; they are empty for a lockstep
+    wave above ``expand_limit``, whose rows stand for whole cohorts.
     """
 
     index: int
@@ -361,73 +365,3 @@ class FleetServer:
                              config=config, on_event=on_event)
         return plane.run_rollout(new_spec, n_devices,
                                  new_version=new_version)
-
-    def _run_wave_lockstep(self, ids: List[int], wire: bytes, version: int,
-                           plan: RolloutPlan, cache: Any):
-        """One wave (treatment + paired control) through the batched
-        struct-of-arrays core.
-
-        Waves up to ``plan.expand_limit`` devices come back as expanded
-        per-device telemetry fed through the exact scalar ``aggregate``
-        / ``_paired_delta`` — byte-identical to the scalar path; larger
-        waves stay compact (one row per cohort, weighted rollup).
-        """
-        from repro.sim.batch import BatchFleetCore
-
-        treated = BatchFleetCore(self, wire, version, plan).run(
-            ids, cache=cache)
-        control = BatchFleetCore(self, None, version, plan).run(
-            ids, cache=cache)
-        rows = [(dict(row), count) for row, count in treated.rows()]
-        if len(ids) <= plan.expand_limit:
-            telemetry = treated.expand()
-            control_t = control.expand()
-            return (telemetry, control_t, aggregate(telemetry),
-                    self._paired_delta(telemetry, control_t, plan), rows)
-        summary = treated.weighted_summary()
-        delta = self._paired_delta_batched(treated, control, plan)
-        return [], [], summary, delta, rows
-
-    @staticmethod
-    def _paired_delta_batched(treated, control, plan: RolloutPlan) -> float:
-        """Cohort-weighted paired delta: every device in a cohort is
-        byte-identical to its representative, so one representative
-        pair stands in for the whole cohort with weight = lane count.
-        Degenerates to exactly ``_paired_delta`` for singleton cohorts.
-        """
-        control_rows = {c.key: c.row for c in control.cohorts}
-        num = 0.0
-        den = 0
-        for c in treated.cohorts:
-            crow = control_rows.get(c.key)
-            if crow is None:
-                continue
-            t_v = c.row["violations_before"] + c.row["violations_after"]
-            c_v = crow["violations_before"] + crow["violations_after"]
-            count = len(c.device_ids)
-            num += count * (t_v - c_v) / max(1, plan.runs)
-            den += count
-        return num / den if den else 0.0
-
-    @staticmethod
-    def _paired_delta(telemetry: List[DeviceTelemetry],
-                      control: List[DeviceTelemetry],
-                      plan: RolloutPlan) -> float:
-        """Mean per-run violation increase, paired per device id.
-
-        Treatment and control simulate the *same* device (same id, same
-        energy trace, same provisioned state); their difference is the
-        update's effect — new checking semantics plus the radio's energy
-        cost — not an artifact of when the download happened to finish.
-        """
-        by_id = {t.device_id: t for t in control}
-        deltas = []
-        for t in telemetry:
-            c = by_id.get(t.device_id)
-            if c is None:
-                continue
-            treated = t.violations_before + t.violations_after
-            untreated = c.violations_before + c.violations_after
-            deltas.append((treated - untreated) / max(1, plan.runs))
-        return sum(deltas) / len(deltas) if deltas else 0.0
-

@@ -6,15 +6,16 @@ simulated device's trace and :class:`~repro.sim.result.RunResult`:
 violation counts (split around the update activation, so a regression
 introduced by a new spec is visible as a before/after rate change),
 corrective actions, degradation events, radio spend, and the update
-outcome. :func:`aggregate` folds any number of reports into a
-queryable :class:`FleetSummary` — the object rollout halting decisions
-are made on.
+outcome. :func:`aggregate` folds weighted reports into a queryable
+:class:`FleetSummary`, and :func:`paired_delta` compares a treatment
+arm with its paired control — the signal rollout halting decisions are
+made on.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 #: Update outcomes a device can report.
 UPDATE_OUTCOMES = ("installed", "pending", "failed", "none")
@@ -197,44 +198,97 @@ class FleetSummary:
         return "; ".join(parts)
 
 
-def aggregate(reports: Iterable[DeviceTelemetry]) -> FleetSummary:
-    """Fold device reports into one fleet summary.
+#: One report and the number of devices it stands for: 1 for a
+#: per-device report, the lane count for a lockstep cohort's
+#: representative row.
+WeightedReport = Tuple[DeviceTelemetry, int]
 
-    The regression signal compares each *installed* device against
-    itself: mean over installed devices of (violations-per-run after
-    activation − before). Devices that never activated contribute to
-    the fleet-wide before-rate but not to the delta, so a stuck radio
-    cannot mask a regressing spec.
+
+def aggregate(reports: Iterable[WeightedReport]) -> FleetSummary:
+    """Fold weighted device reports into one fleet summary.
+
+    A ``(report, weight)`` pair counts as ``weight`` devices that all
+    reported ``report``. The regression signal compares each
+    *installed* device against itself: mean over installed devices of
+    (violations-per-run after activation − before). Devices that never
+    activated contribute to the fleet-wide before-rate but not to the
+    delta, so a stuck radio cannot mask a regressing spec.
+
+    Every sum accumulates left to right with ``+=``, each value
+    multiplied by its weight. Weight-1 reports therefore give the bits
+    of adding them one by one, on every Python version (the builtin
+    ``sum`` compensates float rounding since 3.12). One report of
+    weight ``n`` may differ in the last bits from ``n`` weight-1
+    copies: a multiplication is not ``n`` additions.
     """
-    rows: List[DeviceTelemetry] = list(reports)
+    devices = completed = rollbacks = violations = reboots = 0
+    shed = restored = predictive = chunks = installed = leads = 0
+    radio = energy = before = after = delta = lead = 0.0
     outcomes: Dict[str, int] = {}
-    for t in rows:
-        outcomes[t.update_outcome] = outcomes.get(t.update_outcome, 0) + 1
-    installed = [t for t in rows if t.installed]
-    before_rates = [t.rate_before for t in rows]
-    after_rates = [t.rate_after for t in installed]
-    deltas = [t.rate_after - t.rate_before for t in installed]
-
-    def mean(values: List[float]) -> float:
-        return sum(values) / len(values) if values else 0.0
-
+    for t, weight in reports:
+        devices += weight
+        if t.completed:
+            completed += weight
+        outcomes[t.update_outcome] = outcomes.get(t.update_outcome, 0) + weight
+        rollbacks += t.rollbacks * weight
+        violations += (t.violations_before + t.violations_after) * weight
+        reboots += t.reboots * weight
+        shed += t.degradation_shed * weight
+        restored += t.degradation_restored * weight
+        predictive += t.predictive_sheds * weight
+        chunks += t.chunks_lost * weight
+        radio += t.radio_energy_mj * weight
+        energy += t.total_energy_mj * weight
+        before += t.rate_before * weight
+        if t.installed:
+            after += t.rate_after * weight
+            delta += (t.rate_after - t.rate_before) * weight
+            installed += weight
+        if t.predictive_sheds:
+            lead += t.shed_lead_s * weight
+            leads += weight
     return FleetSummary(
-        devices=len(rows),
-        completed=sum(1 for t in rows if t.completed),
+        devices=devices,
+        completed=completed,
         outcomes=outcomes,
-        rollbacks=sum(t.rollbacks for t in rows),
-        mean_rate_before=mean(before_rates),
-        mean_rate_after=mean(after_rates),
-        regression_delta=mean(deltas),
-        total_violations=sum(t.violations_before + t.violations_after
-                             for t in rows),
-        total_reboots=sum(t.reboots for t in rows),
-        degradation_shed=sum(t.degradation_shed for t in rows),
-        degradation_restored=sum(t.degradation_restored for t in rows),
-        predictive_sheds=sum(t.predictive_sheds for t in rows),
-        mean_shed_lead_s=mean([t.shed_lead_s for t in rows
-                               if t.predictive_sheds]),
-        chunks_lost=sum(t.chunks_lost for t in rows),
-        radio_energy_mj=sum(t.radio_energy_mj for t in rows),
-        total_energy_mj=sum(t.total_energy_mj for t in rows),
+        rollbacks=rollbacks,
+        mean_rate_before=before / devices if devices else 0.0,
+        mean_rate_after=after / installed if installed else 0.0,
+        regression_delta=delta / installed if installed else 0.0,
+        total_violations=violations,
+        total_reboots=reboots,
+        degradation_shed=shed,
+        degradation_restored=restored,
+        predictive_sheds=predictive,
+        mean_shed_lead_s=lead / leads if leads else 0.0,
+        chunks_lost=chunks,
+        radio_energy_mj=radio,
+        total_energy_mj=energy,
     )
+
+
+def paired_delta(treatment: Iterable[WeightedReport],
+                 control: Iterable[WeightedReport], runs: int) -> float:
+    """Mean per-run violation increase, paired per device id.
+
+    Treatment and control simulate the *same* device (same id, same
+    energy trace, same provisioned state); their difference is the
+    update's effect — new checking semantics plus the radio's energy
+    cost — not an artifact of when the download happened to finish. A
+    lockstep cohort row carries its representative's id, which both
+    arms share, and counts with the treatment row's weight.
+    """
+    by_id: Dict[int, DeviceTelemetry] = {}
+    for c, _ in control:
+        by_id[c.device_id] = c
+    total = 0.0
+    paired = 0
+    for t, weight in treatment:
+        c = by_id.get(t.device_id)
+        if c is None:
+            continue
+        treated = t.violations_before + t.violations_after
+        untreated = c.violations_before + c.violations_after
+        total += weight * (treated - untreated) / max(1, runs)
+        paired += weight
+    return total / paired if paired else 0.0

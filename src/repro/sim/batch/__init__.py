@@ -4,7 +4,7 @@ byte-equivalence argument."""
 
 from repro.sim.batch.core import (BatchFleetCore, BatchResult, CohortRun,
                                   LaneResult, run_with_boundaries,
-                                  state_digest, weighted_summary)
+                                  state_digest)
 from repro.sim.batch.fsm import BatchMachineSet, CompiledMachineTable
 from repro.sim.batch.layout import (DTYPES, HAVE_NUMPY, BatchArrays, SoAImage,
                                     resolve_backend)
@@ -23,5 +23,4 @@ __all__ = [
     "resolve_backend",
     "run_with_boundaries",
     "state_digest",
-    "weighted_summary",
 ]

@@ -58,7 +58,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.monitor import tap_machine_ops
 from repro.errors import FleetError, PowerFailure
-from repro.fleet.telemetry import DeviceTelemetry, FleetSummary, aggregate
+from repro.fleet.telemetry import DeviceTelemetry
 from repro.sim.batch.fsm import BatchMachineSet
 from repro.sim.batch.layout import BatchArrays, SoAImage, resolve_backend
 from repro.sim.experiments import Sweep
@@ -188,11 +188,10 @@ class BatchResult:
     """Outcome of one batched wave.
 
     ``arrays`` holds the per-lane struct-of-arrays telemetry columns
-    (:data:`_SOA_COLUMNS`); ``expand()`` materialises per-device
-    :class:`~repro.fleet.telemetry.DeviceTelemetry` byte-identical to
-    the scalar path; ``weighted_summary()`` is the amortized per-batch
-    rollup used beyond the expansion limit (numerically equivalent,
-    not bitwise — multiplication replaces repeated addition).
+    (:data:`_SOA_COLUMNS`); ``rows()`` yields the weighted telemetry
+    rows the control plane folds, and ``expand()`` materialises
+    per-device :class:`~repro.fleet.telemetry.DeviceTelemetry`
+    byte-identical to the scalar path.
     """
 
     def __init__(self, device_ids: List[int], backend: str):
@@ -221,9 +220,24 @@ class BatchResult:
                 value = row.get(name, 0)
             self.arrays.fill(name, value, lanes)
 
-    def rows(self) -> List[Tuple[Dict[str, Any], int]]:
-        """(representative row, lane count) per cohort, divergent lanes
-        as singleton rows — the amortized rollup's input."""
+    def rows(self, per_device: bool = False
+             ) -> List[Tuple[Dict[str, Any], int]]:
+        """``(telemetry row, weight)`` pairs — what a lockstep wave
+        sends the control plane.
+
+        Compact (default): the representative's row per cohort, weighted
+        by its lane count, and divergent lanes as weight-1 rows.
+        ``per_device``: one weight-1 row per device in input order, each
+        restamped with its device id — byte-identical to the scalar path.
+        """
+        if per_device:
+            by_id: Dict[int, Dict[str, Any]] = {}
+            for cohort in self.cohorts:
+                for device_id in cohort.device_ids:
+                    by_id[device_id] = cohort.row
+            for lane in self.lanes.values():
+                by_id[lane.device_id] = lane.row
+            return [(dict(by_id[d], device_id=d), 1) for d in self.device_ids]
         out: List[Tuple[Dict[str, Any], int]] = []
         for cohort in self.cohorts:
             plain = [d for d in cohort.device_ids if d not in self.lanes]
@@ -235,27 +249,9 @@ class BatchResult:
 
     def expand(self) -> List[DeviceTelemetry]:
         """Per-device telemetry in input order, byte-identical to the
-        scalar path (each lane's row restamped with its device id)."""
-        by_id: Dict[int, Dict[str, Any]] = {}
-        for cohort in self.cohorts:
-            for device_id in cohort.device_ids:
-                if device_id not in self.lanes:
-                    by_id[device_id] = cohort.row
-        out = []
-        for device_id in self.device_ids:
-            lane = self.lanes.get(device_id)
-            row = lane.row if lane is not None else by_id[device_id]
-            row = dict(row, device_id=device_id)
-            out.append(DeviceTelemetry.from_row(row))
-        return out
-
-    def summary(self) -> FleetSummary:
-        """Exact aggregate over the expanded telemetry."""
-        return aggregate(self.expand())
-
-    def weighted_summary(self) -> FleetSummary:
-        """Amortized rollup over (cohort row × lane count)."""
-        return weighted_summary(self.rows())
+        scalar path."""
+        return [DeviceTelemetry.from_row(row)
+                for row, _ in self.rows(per_device=True)]
 
     def nvm_image_for(self, device_id: int) -> Optional[SoAImage]:
         lane = self.lanes.get(device_id)
@@ -274,68 +270,6 @@ class BatchResult:
             if device_id in cohort.device_ids and cohort.device is not None:
                 return list(cohort.device.trace.events)
         return None
-
-
-def weighted_summary(rows: Sequence[Tuple[Dict[str, Any], int]]) -> FleetSummary:
-    """Fold (telemetry row, device count) pairs into a FleetSummary.
-
-    Mirrors :func:`repro.fleet.telemetry.aggregate` with each row
-    weighted by its cohort size. Sums use multiplication where the
-    scalar path adds ``count`` equal floats, so float totals can differ
-    from the expanded aggregate in the last bits — which is why the
-    expansion path (and its byte-exact aggregate) stays the default up
-    to :attr:`RolloutPlan.expand_limit`.
-    """
-    devices = completed = rollbacks = violations = reboots = 0
-    shed = restored = predictive = chunks = 0
-    radio = energy = 0.0
-    outcomes: Dict[str, int] = {}
-    before_num = 0.0
-    after_num = 0.0
-    delta_num = 0.0
-    installed_n = 0
-    lead_num = 0.0
-    lead_n = 0
-    for row, count in rows:
-        t = DeviceTelemetry.from_row(dict(row, device_id=0))
-        devices += count
-        completed += count if t.completed else 0
-        outcomes[t.update_outcome] = outcomes.get(t.update_outcome, 0) + count
-        rollbacks += t.rollbacks * count
-        violations += (t.violations_before + t.violations_after) * count
-        reboots += t.reboots * count
-        shed += t.degradation_shed * count
-        restored += t.degradation_restored * count
-        predictive += t.predictive_sheds * count
-        chunks += t.chunks_lost * count
-        radio += t.radio_energy_mj * count
-        energy += t.total_energy_mj * count
-        before_num += t.rate_before * count
-        if t.installed:
-            after_num += t.rate_after * count
-            delta_num += (t.rate_after - t.rate_before) * count
-            installed_n += count
-        if t.predictive_sheds:
-            lead_num += t.shed_lead_s * count
-            lead_n += count
-    return FleetSummary(
-        devices=devices,
-        completed=completed,
-        outcomes=outcomes,
-        rollbacks=rollbacks,
-        mean_rate_before=before_num / devices if devices else 0.0,
-        mean_rate_after=after_num / installed_n if installed_n else 0.0,
-        regression_delta=delta_num / installed_n if installed_n else 0.0,
-        total_violations=violations,
-        total_reboots=reboots,
-        degradation_shed=shed,
-        degradation_restored=restored,
-        predictive_sheds=predictive,
-        mean_shed_lead_s=lead_num / lead_n if lead_n else 0.0,
-        chunks_lost=chunks,
-        radio_energy_mj=radio,
-        total_energy_mj=energy,
-    )
 
 
 class BatchFleetCore:

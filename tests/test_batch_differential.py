@@ -55,7 +55,6 @@ from repro.sim.batch import (
     BatchMachineSet,
     SoAImage,
     run_with_boundaries,
-    weighted_summary,
 )
 from repro.statemachine.interpreter import MachineInstance
 from repro.statemachine.model import (
@@ -74,6 +73,11 @@ from tests.test_differential_monitors import any_property, make_stream
 BACKENDS = ["numpy", "python"] if HAVE_NUMPY else ["python"]
 
 _seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _reports(rows):
+    """``(telemetry row, weight)`` pairs as the fleet fold takes them."""
+    return [(DeviceTelemetry.from_row(row), weight) for row, weight in rows]
 
 
 def _unique_machines(props):
@@ -390,8 +394,8 @@ class TestFleetDifferential:
         wire = server.encode_update(FLEET_SPEC_V2, 2,
                                     use_delta=plan.use_delta)
         batch = BatchFleetCore(server, wire, 2, plan).run(list(range(12)))
-        exact = batch.summary()
-        rolled = batch.weighted_summary()
+        exact = aggregate(_reports(batch.rows(per_device=True)))
+        rolled = aggregate(_reports(batch.rows()))
         assert rolled.devices == exact.devices
         assert rolled.outcomes == exact.outcomes
         assert rolled.total_violations == exact.total_violations
@@ -501,7 +505,8 @@ class TestDivergenceAndRejoin:
                                 max_reboots=plan.max_reboots)
             reports.append(DeviceTelemetry.from_device(
                 device_id, device, result, runtime))
-        assert batch.summary() == aggregate(reports)
+        assert (aggregate(_reports(batch.rows(per_device=True)))
+                == aggregate((t, 1) for t in reports))
         assert batch.expand() == reports
 
 
@@ -649,8 +654,8 @@ def test_weighted_summary_counts_scale_linearly():
                runs_after=1, degradation_shed=1, degradation_restored=1,
                chunks_lost=2, rollbacks=0, update_outcome="installed",
                active_version=2, predictive_sheds=0, shed_lead_s=0.0)
-    single = weighted_summary([(row, 1)])
-    many = weighted_summary([(row, 50)])
+    single = aggregate(_reports([(row, 1)]))
+    many = aggregate(_reports([(row, 50)]))
     assert many.devices == 50
     assert many.total_violations == 50 * single.total_violations
     assert many.total_reboots == 50 * single.total_reboots

@@ -75,6 +75,41 @@ class TestTelemetryQueueBackpressure:
 
         run(scenario())
 
+    def test_end_of_stream_sentinel_never_sheds_a_row(self):
+        async def scenario():
+            q = TelemetryQueue(2, policy="shed_oldest")
+            await q.put(event(0))
+            await q.put(event(1))
+            await q.put(None)  # full: admitted past capacity
+            assert q.dropped == 0
+            assert [e and e.device_id for e in await q.get_all()] == [0, 1,
+                                                                      None]
+            assert q.total_out == 3
+
+        run(scenario())
+
+    @pytest.mark.parametrize("policy", ["block", "shed_oldest"])
+    def test_put_all_waits_for_room_instead_of_shedding(self, policy):
+        async def scenario():
+            q = TelemetryQueue(3, policy=policy)
+            got = []
+
+            async def consumer():
+                while len(got) < 10:
+                    got.extend(e.device_id for e in await q.get_all())
+
+            task = asyncio.ensure_future(consumer())
+            await asyncio.wait_for(q.put_all([event(i) for i in range(10)]),
+                                   timeout=2.0)
+            await asyncio.wait_for(task, timeout=2.0)
+            assert got == list(range(10))
+            assert q.dropped == 0
+            assert q.high_watermark == 3
+            assert q.blocked_puts > 0
+            assert q.total_in == q.total_out == 10
+
+        run(scenario())
+
     def test_block_policy_never_drops_and_producer_resumes(self):
         async def scenario():
             q = TelemetryQueue(2, policy="block")
@@ -287,11 +322,72 @@ class TestStreamedRollout:
         assert first.to_dict() == second.to_dict()
 
     def test_lockstep_plan_still_runs_through_the_plane(self):
-        plan = RolloutPlan(runs=2, lockstep=True, seed_mode="per_cohort")
         server = FleetServer()
-        report = server.rollout(FLEET_SPEC_V2, 8, plan=plan)
-        assert report.ok
-        assert report.summary is not None
+        # 16 per_cohort devices in waves of 4 and 12: above expand_limit
+        # the second wave sends one row of weight 3 per energy class.
+        for expand_limit in (0, RolloutPlan().expand_limit):
+            plan = RolloutPlan(runs=2, lockstep=True, seed_mode="per_cohort",
+                               waves=(0.25, 1.0), expand_limit=expand_limit)
+            events = []
+            plane = ControlPlane(server, plan=plan, on_event=events.append)
+            report = plane.run_rollout(FLEET_SPEC_V2, 16)
+            assert report.ok
+            assert report.summary is not None
+            assert report.summary.devices == 16
+            sent = {}
+            for event in events:
+                if event["event"] == "telemetry":
+                    sent.setdefault(event["wave"], []).append(event["weight"])
+            assert [len(sent[w.index]) for w in report.waves] == (
+                [4, 12] if expand_limit else [4, 4])
+            seen = 0
+            for entry, wave in zip(plane.ledger, report.waves):
+                devices = len(wave.device_ids)
+                assert sum(sent[wave.index]) == devices
+                assert entry.windows
+                # Both arms send the same rows, plus one end-of-stream
+                # marker each.
+                assert entry.queue["total_in"] == 2 * len(sent[wave.index]) + 2
+                assert entry.queue["dropped"] == 0
+                seen += devices
+                assert sum(w["count"] for w in entry.windows) == seen
+            assert plane.registry.merged_rollup().count == 16
+            # Registry views count devices, a cohort record by its weight.
+            assert plane.registry.devices == 16
+            assert sum(plane.registry.version_counts().values()) == 16
+
+    def test_lockstep_shed_oldest_still_receives_every_row(self):
+        """A lockstep wave's rows arrive all at once; under shed_oldest
+        the consumer still gets its turn, so no treatment row is lost
+        and a regressing update halts as it does under block."""
+        reports = {}
+        for policy in ("block", "shed_oldest"):
+            plan = RolloutPlan(waves=(0.25, 1.0), runs=2, loss_rate=0.02,
+                               seed=3, lockstep=True)
+            plane = ControlPlane(
+                FleetServer(), plan=plan,
+                config=ControlConfig(queue_capacity=8, policy=policy))
+            report = plane.run_rollout(FLEET_SPEC_REGRESSING, 32)
+            assert report.halted and report.halted_wave == 0
+            assert report.summary.devices == 8
+            assert report.waves[0].summary.telemetry_dropped == 0
+            assert plane.ledger[0].queue["dropped"] == 0
+            reports[policy] = report.to_dict()
+        assert reports["block"] == reports["shed_oldest"]
+
+    def test_compact_and_expanded_lockstep_halts_roll_back_alike(self):
+        """The halt's blast radius counts every installed device a row
+        stands for, not one per row."""
+        rollbacks = []
+        for expand_limit in (0, RolloutPlan().expand_limit):
+            plan = RolloutPlan(waves=(0.25, 1.0), runs=2, loss_rate=0.02,
+                               seed=3, lockstep=True, seed_mode="per_cohort",
+                               expand_limit=expand_limit)
+            plane = ControlPlane(FleetServer(), plan=plan)
+            report = plane.run_rollout(FLEET_SPEC_REGRESSING, 64)
+            assert report.halted and report.halted_wave == 0
+            rollbacks.append(plane.ledger[-1].rollback_devices)
+        assert rollbacks[0] == rollbacks[1] == 16
 
 
 class TestServeLoop:

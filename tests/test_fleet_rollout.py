@@ -17,7 +17,12 @@ from repro.fleet.server import (
     FleetServer,
     RolloutPlan,
 )
-from repro.fleet.telemetry import FleetSummary, aggregate
+from repro.fleet.telemetry import (
+    DeviceTelemetry,
+    FleetSummary,
+    aggregate,
+    paired_delta,
+)
 
 _FAST = dict(runs=2, loss_rate=0.02, seed=0)
 
@@ -100,3 +105,34 @@ class TestPlanValidation:
         summary = aggregate([])
         assert summary.devices == 0
         assert summary.regression_delta == 0.0
+
+    def test_aggregate_adds_left_to_right(self):
+        """Weight-1 float sums are plain left-to-right additions on every
+        Python version: the builtin ``sum`` compensates rounding since
+        3.12, which would give 1.0 here."""
+        rows = []
+        for device_id, radio in enumerate((1e16, 1.0, -1e16)):
+            row = {name: 0 for name in DeviceTelemetry.__dataclass_fields__}
+            row.update(device_id=device_id, update_outcome="installed",
+                       radio_energy_mj=radio, total_energy_mj=radio)
+            rows.append((DeviceTelemetry.from_row(row), 1))
+        summary = aggregate(rows)
+        assert summary.radio_energy_mj == (1e16 + 1.0) + -1e16 == 0.0
+        assert summary.total_energy_mj == 0.0
+
+    def test_paired_delta_weighs_cohort_rows_by_lane_count(self):
+        """A cohort row pairs with the control row of its representative
+        id and counts once per lane; unpaired rows count nowhere."""
+        def row(device_id, violations):
+            out = {name: 0 for name in DeviceTelemetry.__dataclass_fields__}
+            out.update(device_id=device_id, update_outcome="installed",
+                       violations_after=violations)
+            return DeviceTelemetry.from_row(out)
+
+        treatment = [(row(0, 6), 3), (row(1, 2), 1), (row(2, 9), 5)]
+        control = [(row(0, 2), 3), (row(1, 2), 1)]
+        # Paired: device 0 x3 lanes at +2.0/run, device 1 at 0.0/run.
+        assert paired_delta(treatment, control, runs=2) == 6.0 / 4
+        expanded = [(row(0, 6), 1)] * 3 + [(row(1, 2), 1)]
+        assert paired_delta(expanded, control, runs=2) == 6.0 / 4
+        assert paired_delta([], control, runs=2) == 0.0
