@@ -240,11 +240,11 @@ def _measure_fleet(n_devices: int = 16, jobs: int = 4,
 
 def _measure_batched_fleet(n_devices: int = 2000, trials: int = 2) -> float:
     """Best-of-N lockstep staged-rollout throughput (devices per second,
-    paired control included) through the struct-of-arrays batch core:
+    paired control included) through the lockstep batch core:
     ``per_cohort`` seeding, compact per-cohort rollup (``expand_limit=0``).
-    Guards the vectorized path end to end — cohort partitioning, the
-    instrumented representative runs, the kernel replay across the
-    device axis, and the weighted telemetry aggregation."""
+    Guards the batched path end to end — cohort partitioning, the
+    instrumented representative runs, the one-lane kernel replay, and
+    the weighted telemetry aggregation."""
     from repro.fleet.server import FLEET_SPEC_V2, FleetServer, RolloutPlan
 
     server = FleetServer()

@@ -72,7 +72,7 @@ def _measure_batched():
 
 
 def test_batched_fleet_rollout_throughput(benchmark):
-    """Lockstep struct-of-arrays rollout. ``REPRO_BATCH_DEVICES``
+    """Lockstep batched rollout. ``REPRO_BATCH_DEVICES``
     scales the fleet (CI runs 1k blocking and 100k non-blocking); the
     floor is the ISSUE's single-core acceptance bar, derated for busy
     CI boxes at the small default fleet where the fixed per-cohort

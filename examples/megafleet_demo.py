@@ -6,10 +6,10 @@ three waves (1% canary, 10%, everyone), then re-runs the rollout with
 the deliberately regressing spec to show the canary wave halting at
 fleet scale. The fleet uses ``per_cohort`` seeding — devices within an
 energy class are byte-identical — which is exactly the homogeneous
-shape :class:`repro.sim.batch.BatchFleetCore` amortizes: one
-instrumented scalar representative per cohort, a vectorized
-struct-of-arrays FSM replay across the million-lane device axis, and a
-weighted per-cohort telemetry rollup.
+shape :class:`repro.sim.batch.BatchFleetCore` amortizes: each cohort
+is one instrumented scalar representative plus a lane count, its
+monitor stores checked by a one-lane kernel replay, and its telemetry
+row weighted by the lane count.
 
 Run:  python examples/megafleet_demo.py [n_devices]
 """

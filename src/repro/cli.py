@@ -854,7 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes per wave sweep")
     p_fleet.add_argument("--lockstep", action="store_true",
                          help="run waves through the batched "
-                              "struct-of-arrays core (repro.sim.batch)")
+                              "lockstep core (repro.sim.batch)")
     p_fleet.add_argument("--seed-mode", dest="seed_mode",
                          choices=("per_device", "per_cohort"),
                          default="per_device",

@@ -46,7 +46,7 @@ def tap_machine_ops():
     entries for each completed ``on_event`` delivery and
     ``("reset", machine_name, None)`` entries for each machine reset.
     The batched fleet core (:mod:`repro.sim.batch`) replays this stream
-    through its vectorized FSM kernel across a cohort's device axis;
+    through a one-lane FSM kernel for each cohort's representative;
     because only *completed* deliveries are recorded, a power failure
     mid-``on_event`` can make the replay diverge from the partially
     advanced scalar store — the kernel's self-check catches exactly

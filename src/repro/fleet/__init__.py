@@ -42,7 +42,7 @@ from repro.fleet.control import (
     WaveTask,
 )
 from repro.fleet.device import UpdatableRuntime
-from repro.fleet.digest import P2Quantile, QuantileDigest, WindowedRollup
+from repro.fleet.digest import QuantileDigest, WindowedRollup
 from repro.fleet.install import BundleInstaller
 from repro.fleet.server import FleetServer, RolloutPlan, RolloutReport
 from repro.fleet.telemetry import (
@@ -66,7 +66,6 @@ __all__ = [
     "FleetSummary",
     "MonitorBundle",
     "OtaTransport",
-    "P2Quantile",
     "QuantileDigest",
     "RolloutPlan",
     "RolloutReport",

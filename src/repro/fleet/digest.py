@@ -1,15 +1,12 @@
-"""Streaming percentile estimators and windowed telemetry rollups.
+"""A mergeable quantile digest and windowed telemetry rollups.
 
 The control plane (:mod:`repro.fleet.control`) never holds a fleet's
 raw telemetry: at a million devices the per-device reports are a
 firehose, and rollout gates need quantiles ("p99 violation rate this
-window"), not samples. This module provides the two sketches the plane
+window"), not samples. This module provides the sketch the plane
 ingests into, plus the time-window bucketing that turns an unbounded
 stream into a bounded ledger:
 
-* :class:`P2Quantile` — the classic P² (piecewise-parabolic) estimator:
-  one quantile, five markers, O(1) per sample, no buffer. Used for
-  always-on single-quantile probes where even a digest is too heavy.
 * :class:`QuantileDigest` — a mergeable log-binned sketch (the DDSketch
   construction): any quantile with a guaranteed *relative* value error
   ``<= relative_error``, and a merge that is **exactly associative and
@@ -36,99 +33,6 @@ from repro.errors import FleetError
 
 class DigestError(FleetError):
     """Misuse of a sketch (empty quantile query, mismatched merge)."""
-
-
-# ---------------------------------------------------------------------------
-# P² — single-quantile streaming estimator
-# ---------------------------------------------------------------------------
-
-
-class P2Quantile:
-    """P² estimator of one quantile (Jain & Chlamtac 1985).
-
-    Keeps five markers whose heights approximate the quantile curve;
-    every sample adjusts marker positions and, when a marker drifts off
-    its desired position, moves its height along a piecewise-parabolic
-    interpolation. The first five samples are exact (sorted buffer).
-
-    >>> p = P2Quantile(0.5)
-    >>> for x in range(101): p.add(float(x))
-    >>> abs(p.value() - 50.0) < 1.0
-    True
-    """
-
-    def __init__(self, q: float):
-        if not 0.0 < q < 1.0:
-            raise DigestError(f"quantile must be in (0, 1), got {q}")
-        self.q = q
-        self.count = 0
-        self._heights: List[float] = []
-        self._positions: List[float] = []
-        self._desired: List[float] = []
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-
-    def add(self, x: float) -> None:
-        """Fold one sample into the estimate."""
-        self.count += 1
-        if self.count <= 5:
-            self._heights.append(float(x))
-            self._heights.sort()
-            if self.count == 5:
-                self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-                self._desired = [1.0, 1.0 + 2.0 * self.q, 1.0 + 4.0 * self.q,
-                                 3.0 + 2.0 * self.q, 5.0]
-            return
-        h = self._heights
-        # Locate the cell and bump the extreme markers.
-        if x < h[0]:
-            h[0] = float(x)
-            k = 0
-        elif x >= h[4]:
-            h[4] = float(x)
-            k = 3
-        else:
-            k = 0
-            while k < 3 and x >= h[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            self._positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        # Adjust the three interior markers.
-        for i in range(1, 4):
-            d = self._desired[i] - self._positions[i]
-            n_i, n_prev, n_next = (self._positions[i], self._positions[i - 1],
-                                   self._positions[i + 1])
-            if (d >= 1.0 and n_next - n_i > 1.0) or \
-               (d <= -1.0 and n_prev - n_i < -1.0):
-                s = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, s)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    h[i] += s * (h[i + int(s)] - h[i]) / \
-                        (self._positions[i + int(s)] - n_i)
-                self._positions[i] += s
-
-    def _parabolic(self, i: int, s: float) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + s / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + s) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - s) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def value(self) -> float:
-        """Current estimate (exact while ``count <= 5``)."""
-        if self.count == 0:
-            raise DigestError("P2Quantile.value() on an empty estimator")
-        if self.count <= 5:
-            # Exact: interpolate the sorted buffer at rank q*(n-1).
-            rank = self.q * (self.count - 1)
-            lo = int(math.floor(rank))
-            hi = min(lo + 1, self.count - 1)
-            frac = rank - lo
-            return self._heights[lo] * (1 - frac) + self._heights[hi] * frac
-        return self._heights[2]
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,7 @@ class RolloutPlan:
         use_delta: ship a delta against the installed baseline instead
             of a full bundle.
         seed: perturbs every device's chunk-loss stream.
-        lockstep: take waves' rows from the batched struct-of-arrays
+        lockstep: take waves' rows from the batched lockstep
             core (:class:`repro.sim.batch.BatchFleetCore`) instead of
             simulating every device individually. Either way the rows
             go through the same queue, registry, gate and ledger.

@@ -1,5 +1,5 @@
-"""Lockstep struct-of-arrays fleet stepping (the vectorized mega-fleet
-core). See :mod:`repro.sim.batch.core` for the execution model and the
+"""Lockstep batched fleet stepping (the mega-fleet core). See
+:mod:`repro.sim.batch.core` for the execution model and the
 byte-equivalence argument."""
 
 from repro.sim.batch.core import (BatchFleetCore, BatchResult, CohortRun,

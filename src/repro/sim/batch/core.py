@@ -1,34 +1,33 @@
 """Lockstep batched fleet stepping core.
 
-The scalar fleet path simulates every device independently at ~18
-devices/s. This module gets to 10k+ devices/s on one core by exploiting
-what the paper's deployment model guarantees: a lockstep fleet is
-*homogeneous* — devices differ only in identity, not behaviour — so the
-fleet partitions into **cohorts** of byte-identical devices (energy
+The scalar fleet path simulates every device independently. This module
+exploits what the paper's deployment model guarantees: a lockstep fleet
+is *homogeneous* — devices differ only in identity, not behaviour — so
+the fleet partitions into **cohorts** of byte-identical devices (energy
 class × treatment, under the rollout plan's ``per_cohort`` seed mode).
+Each ARTEMIS device keeps its monitor state machines in its own NVM, so
+identical devices hold identical state: a cohort is **one
+representative plus a lane count**, and nothing is stored or stepped
+per device.
 
 Per cohort the core runs **one instrumented scalar representative**
 through the unmodified ``Device``/``ArtemisRuntime``/``UpdatableRuntime``
 stack — byte-equivalence with the scalar path holds *by construction*
-for every lane of the cohort — while:
+for every device of the cohort — while:
 
 * a machine-op tap (:func:`repro.core.monitor.tap_machine_ops`) records
-  the representative's monitor stream, which is replayed across the
-  cohort's device axis through the vectorized
-  :class:`~repro.sim.batch.fsm.BatchMachineSet` (struct-of-arrays FSM
-  state, table-driven transitions, the existing dispatch subscription
-  tables). Lane 0 of the replay is self-checked against the
-  representative's NVM-backed machine stores; a mismatch (possible when
-  a brown-out interrupts ``on_event`` mid-write) makes the affected
-  lanes fall back to the authoritative scalar state — counted in
+  the representative's monitor stream, which is replayed through a
+  one-lane :class:`~repro.sim.batch.fsm.BatchMachineSet` (table-driven
+  transitions over the existing dispatch subscription tables) and
+  self-checked against the representative's NVM-backed machine stores.
+  A mismatch (possible when a brown-out interrupts ``on_event``
+  mid-write) falls back to the authoritative scalar state — counted in
   :attr:`BatchResult.kernel_fallbacks`, never silent;
 * a **boundary ledger** snapshots full durable state at every run
   boundary (NVM fingerprint, simulated clock, capacitor energy, loss
   RNG state, result counters, trace position);
-* per-device state lands in struct-of-arrays telemetry columns
-  (:class:`~repro.sim.batch.layout.BatchArrays`) and the final NVM
-  image is shared across lanes as one
-  :class:`~repro.sim.batch.layout.SoAImage`.
+* the final NVM image is captured once per cohort as a
+  :class:`~repro.sim.batch.layout.SoAImage` and shared by its devices.
 
 **Divergence handling**: a lane with per-device perturbation (an
 injected crash schedule — the test battery's fault seeds) drops out of
@@ -45,9 +44,9 @@ a limitation but what byte-equivalence demands; rejoin accelerates
 exactly the perturbations the device fully absorbed.
 
 Cohort-representative rows are keyed into the content-addressed sweep
-cache through the standard :mod:`repro.sim.pool` machinery with the
-batch layout token mixed into the fingerprint, so rows computed under
-one struct-of-arrays layout/dtype can never be replayed under another.
+cache through the standard :mod:`repro.sim.pool` machinery; the sweep's
+build closure captures the core, whose ``repr`` names everything that
+changes a representative's behaviour.
 """
 
 from __future__ import annotations
@@ -60,25 +59,9 @@ from repro.core.monitor import tap_machine_ops
 from repro.errors import FleetError, PowerFailure
 from repro.fleet.telemetry import DeviceTelemetry
 from repro.sim.batch.fsm import BatchMachineSet
-from repro.sim.batch.layout import BatchArrays, SoAImage, resolve_backend
+from repro.sim.batch.layout import SoAImage
 from repro.sim.experiments import Sweep
 from repro.sim.tracer import Tracer
-
-#: Telemetry fields laid out as per-lane struct-of-arrays columns.
-_SOA_COLUMNS = (
-    ("completed", "bool"),
-    ("runs_completed", "int64"),
-    ("reboots", "int64"),
-    ("total_time_s", "float64"),
-    ("total_energy_mj", "float64"),
-    ("radio_energy_mj", "float64"),
-    ("violations_before", "int64"),
-    ("violations_after", "int64"),
-    ("soc_j", "float64"),
-    ("task_retries", "int64"),
-    ("degradation_shed", "int64"),
-    ("degradation_restored", "int64"),
-)
 
 
 def run_with_boundaries(device, runtime, runs: int = 1,
@@ -187,38 +170,20 @@ class LaneResult:
 class BatchResult:
     """Outcome of one batched wave.
 
-    ``arrays`` holds the per-lane struct-of-arrays telemetry columns
-    (:data:`_SOA_COLUMNS`); ``rows()`` yields the weighted telemetry
-    rows the control plane folds, and ``expand()`` materialises
-    per-device :class:`~repro.fleet.telemetry.DeviceTelemetry`
-    byte-identical to the scalar path.
+    Each cohort is its representative's run plus its device ids;
+    diverged devices are in ``lanes``. ``rows()`` yields the weighted
+    telemetry rows the control plane folds, and ``expand()``
+    materialises per-device
+    :class:`~repro.fleet.telemetry.DeviceTelemetry` byte-identical to
+    the scalar path.
     """
 
-    def __init__(self, device_ids: List[int], backend: str):
+    def __init__(self, device_ids: List[int]):
         self.device_ids = list(device_ids)
-        self.lane_of = {d: i for i, d in enumerate(self.device_ids)}
-        self.backend = backend
         self.cohorts: List[CohortRun] = []
         self.lanes: Dict[int, LaneResult] = {}
         self.kernel_fallbacks = 0
         self.kernel_checked_machines = 0
-        self.fsm: Optional[BatchMachineSet] = None
-        self.arrays = BatchArrays(max(1, len(self.device_ids)),
-                                  backend=backend)
-        for name, dtype in _SOA_COLUMNS:
-            self.arrays.add_column(name, dtype)
-
-    # ------------------------------------------------------------------
-    def _fill_lanes(self, row: Dict[str, Any], lanes: List[int],
-                    soc_j: float, retries: int) -> None:
-        for name, _ in _SOA_COLUMNS:
-            if name == "soc_j":
-                value = soc_j
-            elif name == "task_retries":
-                value = retries
-            else:
-                value = row.get(name, 0)
-            self.arrays.fill(name, value, lanes)
 
     def rows(self, per_device: bool = False
              ) -> List[Tuple[Dict[str, Any], int]]:
@@ -284,16 +249,13 @@ class BatchFleetCore:
             ``per_cohort`` collapses each energy class into one cohort,
             ``per_device`` degenerates to singleton cohorts — correct,
             but with no speedup).
-        backend: struct-of-arrays backend (``numpy``/``python``/``auto``).
     """
 
-    def __init__(self, server, wire: Optional[bytes], version: int, plan,
-                 backend: str = "auto"):
+    def __init__(self, server, wire: Optional[bytes], version: int, plan):
         self.server = server
         self.wire = wire
         self.version = version
         self.plan = plan
-        self.backend = resolve_backend(backend)
 
     def __repr__(self) -> str:
         # The sweep fingerprint hashes closures by repr of their cell
@@ -302,7 +264,7 @@ class BatchFleetCore:
         wire_tag = (hashlib.sha256(self.wire).hexdigest()[:16]
                     if self.wire is not None else "control")
         return (f"BatchFleetCore(version={self.version}, wire={wire_tag}, "
-                f"plan={self.plan!r}, backend={self.backend}, "
+                f"plan={self.plan!r}, "
                 f"base={hashlib.sha256(self.server.base_spec.encode()).hexdigest()[:16]})")
 
     # ------------------------------------------------------------------
@@ -317,11 +279,9 @@ class BatchFleetCore:
         device._fleet_device_id = device_id
         return device, runtime
 
-    def _sweep_for(self, cohort_reps: List[int],
-                   layout_token: str) -> Sweep:
+    def _sweep_for(self, cohort_reps: List[int]) -> Sweep:
         """The Sweep whose fingerprint keys cohort rows in the result
-        cache — batch-aware because ``batch_layout`` carries the
-        struct-of-arrays layout token."""
+        cache."""
         core = self
 
         def build(point):
@@ -346,30 +306,24 @@ class BatchFleetCore:
             runs=self.plan.runs,
             max_time_s=self.plan.max_time_s,
             max_reboots=self.plan.max_reboots,
-            batch_layout=layout_token,
         )
 
     # ------------------------------------------------------------------
     def run(self, device_ids: Sequence[int], cache: Any = None,
-            jobs: Optional[int] = None,
-            perturb: Optional[Dict[int, Sequence[int]]] = None,
-            kernel_check: bool = True) -> BatchResult:
+            perturb: Optional[Dict[int, Sequence[int]]] = None
+            ) -> BatchResult:
         """Simulate ``device_ids`` as a lockstep batch.
 
         Args:
             cache: optional sweep result cache (``True``/path/instance).
-            jobs: with ``kernel_check=False`` and no perturbations,
-                shard cohort representatives across a fork pool via the
-                standard :func:`repro.sim.pool.run_sweep`.
             perturb: ``{device_id: crash schedule}`` — those lanes
                 diverge from the batch into the scalar path (driven by
                 :class:`~repro.verify.schedule.CrashScheduleRunner`)
                 and rejoin at the first run boundary whose state digest
                 matches the ledger.
-            kernel_check: replay each representative's monitor stream
-                through the vectorized FSM kernel across the cohort's
-                lanes and self-check against the scalar stores.
         """
+        from repro.sim.pool import _normalize_cache, sweep_fingerprint
+
         ids = list(device_ids)
         if not ids:
             raise FleetError("batched wave needs at least one device")
@@ -381,29 +335,13 @@ class BatchFleetCore:
         cohorts: Dict[Any, List[int]] = {}
         for device_id in ids:
             cohorts.setdefault(self.cohort_key(device_id), []).append(device_id)
-        result = BatchResult(ids, backend=self.backend)
-
-        layout_token = result.arrays.layout_token()
-        reps = [min(members) for members in cohorts.values()]
-        sweep = self._sweep_for(sorted(reps), layout_token)
-
-        if jobs and jobs > 1 and not perturb and not kernel_check:
-            rows = sweep.run(parallel=jobs, cache=cache)
-            rows_by_rep = {row["device_id"]: row for row in rows}
-            for key in sorted(cohorts, key=repr):
-                members = sorted(cohorts[key])
-                row = dict(rows_by_rep[min(members)])
-                cohort = CohortRun(key, members, row, from_cache=True)
-                result.cohorts.append(cohort)
-                lanes = [result.lane_of[d] for d in members]
-                result._fill_lanes(row, lanes, soc_j=0.0,
-                                   retries=int(row.get("task_retries", 0) or 0))
-            return result
-
-        from repro.sim.pool import _normalize_cache, sweep_fingerprint
+        result = BatchResult(ids)
 
         cache = _normalize_cache(cache)
-        fingerprint = sweep_fingerprint(sweep) if cache is not None else None
+        fingerprint = None
+        if cache is not None:
+            reps = [min(members) for members in cohorts.values()]
+            fingerprint = sweep_fingerprint(self._sweep_for(sorted(reps)))
 
         for key in sorted(cohorts, key=repr):
             members = sorted(cohorts[key])
@@ -414,40 +352,20 @@ class BatchFleetCore:
             if cache is not None and not divergent:
                 cached_row = cache.get(cache.key_for(fingerprint, point))
             if cached_row is not None:
-                cohort = CohortRun(key, members, dict(cached_row),
-                                   from_cache=True)
-                result.cohorts.append(cohort)
-                lanes = [result.lane_of[d] for d in members]
-                result._fill_lanes(cohort.row, lanes, soc_j=0.0,
-                                   retries=int(cohort.row.get("task_retries", 0) or 0))
+                result.cohorts.append(CohortRun(key, members, dict(cached_row),
+                                                from_cache=True))
                 continue
-            cohort = self._run_representative(key, members, rep_id,
-                                              kernel_check, result)
+            cohort = self._run_representative(key, members, rep_id, result)
             result.cohorts.append(cohort)
             if cache is not None:
                 cache.put(cache.key_for(fingerprint, point), cohort.row)
-            plain_lanes = [result.lane_of[d] for d in members
-                           if d not in perturb]
-            result._fill_lanes(
-                cohort.row, plain_lanes,
-                soc_j=self._finite(cohort.device.env.usable_energy()),
-                retries=int(cohort.device.result.task_retries))
             for device_id in divergent:
-                lane = self._run_divergent_lane(device_id, perturb[device_id],
-                                                cohort)
-                result.lanes[device_id] = lane
-                result._fill_lanes(lane.row, [result.lane_of[device_id]],
-                                   soc_j=0.0,
-                                   retries=int(lane.row.get("task_retries", 0) or 0))
+                result.lanes[device_id] = self._run_divergent_lane(
+                    device_id, perturb[device_id], cohort)
         return result
-
-    @staticmethod
-    def _finite(value: float) -> float:
-        return 0.0 if value in (float("inf"), float("-inf")) else float(value)
 
     # ------------------------------------------------------------------
     def _run_representative(self, key, members: List[int], rep_id: int,
-                            kernel_check: bool,
                             result: BatchResult) -> CohortRun:
         device, runtime = self._build(rep_id)
         ledger = _BoundaryLedger()
@@ -467,19 +385,19 @@ class BatchFleetCore:
         row["task_retries"] = int(run_result.task_retries)
         cohort = CohortRun(key, members, row, device=device, runtime=runtime,
                            ledger=ledger, nvm_image=SoAImage.from_nvm(device.nvm))
-        if kernel_check:
-            self._replay_kernel(cohort, members, ops, result)
+        self._replay_kernel(cohort, ops, result)
         return cohort
 
-    def _replay_kernel(self, cohort: CohortRun, members: List[int],
-                       ops: list, result: BatchResult) -> None:
-        """Replay the representative's monitor stream across the cohort
-        lane axis and self-check lane 0 against the scalar stores."""
+    def _replay_kernel(self, cohort: CohortRun, ops: list,
+                       result: BatchResult) -> None:
+        """Replay the representative's monitor stream through a one-lane
+        kernel and self-check it against the scalar stores. Every device
+        of the cohort holds the representative's state, so one lane
+        stands for all of them."""
         monitor = self._leaf_monitor(cohort.runtime)
         if monitor is None:
             return
-        fsm = BatchMachineSet(monitor.machines, n_lanes=len(members),
-                              backend=self.backend)
+        fsm = BatchMachineSet(monitor.machines, n_lanes=1)
         for op, machine_name, event in ops:
             if machine_name not in fsm._by_name:
                 continue  # ops from a pre-swap monitor generation
@@ -487,7 +405,6 @@ class BatchFleetCore:
                 fsm.reset_machine(machine_name)
             else:
                 fsm.step_machine(machine_name, event, collect=False)
-        result.fsm = fsm
         for machine, instance in zip(monitor.machines, monitor.instances):
             result.kernel_checked_machines += 1
             scalar = {"state": instance.state}
@@ -496,11 +413,9 @@ class BatchFleetCore:
             if fsm.lane_store(machine.name, 0) != scalar:
                 # A brown-out mid-on_event left the scalar store partially
                 # advanced; the completed-delivery replay cannot represent
-                # that. Fall back to the authoritative scalar state for
-                # every lane (the cohort is homogeneous).
+                # that. Fall back to the authoritative scalar state.
                 result.kernel_fallbacks += 1
-                for lane in range(len(members)):
-                    fsm.load_lane(machine.name, lane, scalar)
+                fsm.load_lane(machine.name, 0, scalar)
 
     @staticmethod
     def _leaf_monitor(runtime):

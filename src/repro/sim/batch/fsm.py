@@ -138,11 +138,8 @@ class BatchMachineSet:
                 )
 
     # ------------------------------------------------------------------
-    # Layout / lane state access
+    # Lane state access
     # ------------------------------------------------------------------
-    def layout_token(self) -> str:
-        return self.arrays.layout_token()
-
     def reset_machine(self, machine_name: str,
                       lanes: Optional[List[int]] = None) -> None:
         idx = self._machine_idx(machine_name)
@@ -222,7 +219,7 @@ class BatchMachineSet:
 
         ``collect=False`` skips per-lane ``Verdict`` materialization and
         only maintains the amortized :attr:`emitted` rollup — the fast
-        path for million-lane replay, where per-lane verdict lists would
+        path for many-lane replay, where per-lane verdict lists would
         dominate the step cost.
         """
         idx = self._machine_idx(machine_name)

@@ -5,12 +5,8 @@ Two containers live here:
 * :class:`BatchArrays` — a typed column store over a *lane* axis (one
   lane per device). Columns are numpy arrays when numpy is importable
   and plain Python lists otherwise; either way the public interface is
-  identical, so the batched core and its tests never branch on the
-  backend. The :meth:`BatchArrays.layout_token` string names the exact
-  column layout **and** element dtypes — the sweep result cache mixes it
-  into its fingerprint (see :func:`repro.sim.pool.sweep_fingerprint`),
-  so a cached row produced under one layout can never be replayed under
-  another.
+  identical, so the batch FSM kernel and its tests never branch on the
+  backend.
 
 * :class:`SoAImage` — a columnar snapshot of a
   :class:`~repro.nvm.memory.NonVolatileMemory`: cell names, values,
@@ -19,7 +15,7 @@ Two containers live here:
   state (checksums are carried over verbatim, *not* recomputed, so a
   silently corrupted cell stays detectably corrupt after the round
   trip). The batched core uses it to share one final NVM image across a
-  cohort's lanes, and the journal property tests use it to prove that
+  cohort's devices, and the journal property tests use it to prove that
   commit/recovery behaves identically on imaged state.
 """
 
@@ -90,21 +86,12 @@ class BatchArrays:
             self._columns[name] = [value] * self.n_lanes
         self._dtypes[name] = dtype
 
-    def has_column(self, name: str) -> bool:
-        return name in self._columns
-
     def column(self, name: str) -> Any:
         """The raw backing column (numpy array or list)."""
         try:
             return self._columns[name]
         except KeyError:
             raise ReproError(f"no column {name!r}") from None
-
-    def columns(self) -> List[str]:
-        return list(self._columns)
-
-    def dtype_of(self, name: str) -> str:
-        return self._dtypes[name]
 
     # ------------------------------------------------------------------
     def get(self, name: str, lane: int) -> Any:
@@ -136,22 +123,6 @@ class BatchArrays:
         else:
             for i in lanes:
                 col[i] = value
-
-    def tolist(self, name: str) -> List[Any]:
-        col = self.column(name)
-        if self.backend == "numpy":
-            return col.tolist()
-        return list(col)
-
-    # ------------------------------------------------------------------
-    def layout_token(self) -> str:
-        """Stable string naming backend + column layout + dtypes.
-
-        Two batches whose tokens differ must never share cached sweep
-        rows: the token is mixed into the sweep fingerprint.
-        """
-        cols = ",".join(f"{n}:{self._dtypes[n]}" for n in sorted(self._columns))
-        return f"soa/v1;backend={self.backend};lanes={self.n_lanes};{cols}"
 
     def __repr__(self) -> str:
         return (f"BatchArrays(lanes={self.n_lanes}, backend={self.backend}, "

@@ -64,12 +64,6 @@ class Sweep:
         build: constructs a fresh ``(device, runtime)`` per point.
         metrics: metric name → extractor over the finished run.
         runs / max_time_s / max_reboots: forwarded to ``Device.run``.
-        batch_layout: struct-of-arrays layout token when the sweep's
-            rows are produced by the batched fleet core
-            (:meth:`repro.sim.batch.BatchArrays.layout_token`); mixed
-            into the result-cache fingerprint so rows computed under
-            one batch layout/dtype set can never be replayed under
-            another. ``None`` for ordinary scalar sweeps.
     """
 
     factors: Mapping[str, Sequence[Any]]
@@ -78,7 +72,6 @@ class Sweep:
     runs: int = 1
     max_time_s: Optional[float] = None
     max_reboots: Optional[int] = None
-    batch_layout: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.factors:

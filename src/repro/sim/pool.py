@@ -158,10 +158,7 @@ def sweep_fingerprint(sweep: Sweep) -> str:
         _update_callable(h, sweep.metrics[name])
     h.update(json.dumps(
         {"runs": sweep.runs, "max_time_s": sweep.max_time_s,
-         "max_reboots": sweep.max_reboots,
-         # Batched sweeps carry their struct-of-arrays layout token;
-         # a layout or dtype change must invalidate every cached row.
-         "batch_layout": getattr(sweep, "batch_layout", None)},
+         "max_reboots": sweep.max_reboots},
         sort_keys=True,
     ).encode())
     return h.hexdigest()

@@ -11,12 +11,13 @@ differential-testable.
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Any, Dict, MutableMapping, Optional, Type
 
 from repro.errors import GenerationError, StateMachineError
 from repro.memo import BoundedMemo
-from repro.statemachine.interpreter import Verdict
+from repro.statemachine.interpreter import Verdict, _apply
 from repro.statemachine.model import (
     ANY_EVENT,
     Assign,
@@ -37,7 +38,11 @@ from repro.statemachine.model import (
 )
 
 
-def _gen_expr(expr: Expr) -> str:
+def _gen_expr(expr: Expr, value: bool = False) -> str:
+    """Python text for ``expr``. ``value`` marks a position whose value
+    is used, not just its truth (an assignment's right-hand side or an
+    operand of arithmetic or a comparison): there ``and``/``or`` must
+    yield a bool, as in the interpreter, not one of their operands."""
     if isinstance(expr, Const):
         return repr(expr.value)
     if isinstance(expr, Var):
@@ -65,14 +70,21 @@ def _gen_expr(expr: Expr) -> str:
     if isinstance(expr, Not):
         return f"(not {_gen_expr(expr.operand)})"
     if isinstance(expr, BinOp):
-        py_op = {"and": "and", "or": "or"}.get(expr.op, expr.op)
-        return f"({_gen_expr(expr.left)} {py_op} {_gen_expr(expr.right)})"
+        if expr.op in ("and", "or"):
+            text = f"{_gen_expr(expr.left)} {expr.op} {_gen_expr(expr.right)}"
+            return f"bool({text})" if value else f"({text})"
+        left = _gen_expr(expr.left, value=True)
+        right = _gen_expr(expr.right, value=True)
+        if expr.op == "/":
+            return f"_div({left}, {right})"
+        return f"({left} {expr.op} {right})"
     raise GenerationError(f"cannot generate expression {expr!r}")
 
 
 def _gen_stmt(stmt: Stmt, indent: str) -> list:
     if isinstance(stmt, Assign):
-        return [f"{indent}self._store['var.{stmt.var}'] = {_gen_expr(stmt.expr)}"]
+        return [f"{indent}self._store['var.{stmt.var}'] = "
+                f"{_gen_expr(stmt.expr, value=True)}"]
     if isinstance(stmt, Fail):
         return [
             f"{indent}verdicts.append(Verdict(self.MACHINE_NAME, "
@@ -223,6 +235,7 @@ def _compile(source: str, machine: StateMachine) -> Type:
     namespace: Dict[str, Any] = {
         "Verdict": Verdict,
         "StateMachineError": StateMachineError,
+        "_div": functools.partial(_apply, "/"),
     }
     code = compile(source, filename=f"<generated monitor {machine.name}>",
                    mode="exec")

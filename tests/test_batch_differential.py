@@ -56,6 +56,7 @@ from repro.sim.batch import (
     SoAImage,
     run_with_boundaries,
 )
+from repro.statemachine.codegen_python import compile_machine
 from repro.statemachine.interpreter import MachineInstance
 from repro.statemachine.model import (
     BinOp,
@@ -183,7 +184,8 @@ class TestKernelVsInterpreter:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_division_by_zero_parity(self, backend):
         """A zero divisor on an active lane raises the interpreter's
-        exact error; an *inactive* lane's zero divisor must not."""
+        exact error, as does the generated monitor; an *inactive*
+        lane's zero divisor must not."""
         machine = StateMachine(
             name="div", states=("s", "t"), initial="s",
             variables=(Variable("d", "int", 0),),
@@ -199,6 +201,9 @@ class TestKernelVsInterpreter:
         ref = MachineInstance(machine)
         with pytest.raises(StateMachineError) as scalar_err:
             ref.on_event(event)
+        with pytest.raises(StateMachineError) as generated_err:
+            compile_machine(machine)().on_event(event)
+        assert str(generated_err.value) == str(scalar_err.value)
 
         batch = BatchMachineSet([machine], n_lanes=1, backend=backend)
         with pytest.raises(StateMachineError) as batch_err:
@@ -405,20 +410,60 @@ class TestFleetDifferential:
         assert rolled.total_energy_mj == pytest.approx(
             exact.total_energy_mj, rel=1e-12)
 
-    def test_soa_telemetry_columns_match_rows(self, server):
-        plan = _plan(seed_mode="per_cohort")
-        wire = server.encode_update(FLEET_SPEC_V2, 2,
-                                    use_delta=plan.use_delta)
-        ids = list(range(8))
-        batch = BatchFleetCore(server, wire, 2, plan).run(ids)
-        reports = batch.expand()
-        for lane, report in enumerate(reports):
-            assert batch.arrays.get("completed", lane) == report.completed
-            assert batch.arrays.get("reboots", lane) == report.reboots
-            assert batch.arrays.get("total_time_s", lane) == pytest.approx(
-                report.total_time_s)
-            assert (batch.arrays.get("violations_after", lane)
-                    == report.violations_after)
+
+class TestCohortIsOneLane:
+    """What lets the batched core keep one lane per cohort: devices of
+    a ``per_cohort`` cohort start alike and see the same monitor ops,
+    so an N-lane replay never separates its lanes."""
+
+    N_DEVICES = 64
+
+    @staticmethod
+    def _wave(server, spec):
+        plan = _plan(waves=(1.0,), seed_mode="per_cohort", loss_rate=0.02,
+                     seed=3)
+        return plan, server.encode_update(spec, 2, use_delta=plan.use_delta)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("spec", [FLEET_SPEC_V2, FLEET_SPEC_REGRESSING],
+                             ids=["v2", "regressing"])
+    def test_replayed_lanes_equal_lane_zero(self, server, spec, backend):
+        plan, wire = self._wave(server, spec)
+        core = BatchFleetCore(server, wire, 2, plan)
+        n_lanes = self.N_DEVICES // 4
+        for rep_id in range(4):
+            device, runtime = server.build_device(rep_id, wire, 2, plan)
+            with tap_machine_ops() as ops:
+                run_with_boundaries(device, runtime, runs=plan.runs,
+                                    max_time_s=plan.max_time_s,
+                                    max_reboots=plan.max_reboots)
+            monitor = core._leaf_monitor(runtime)
+            fsm = BatchMachineSet(monitor.machines, n_lanes=n_lanes,
+                                  backend=backend)
+            for op, name, event in ops:
+                if name not in fsm._by_name:
+                    continue
+                if op == "reset":
+                    fsm.reset_machine(name)
+                else:
+                    fsm.step_machine(name, event, collect=False)
+            assert ops
+            for machine in monitor.machines:
+                lane0 = fsm.lane_store(machine.name, 0)
+                for lane in range(1, n_lanes):
+                    assert fsm.lane_store(machine.name, lane) == lane0
+
+    @pytest.mark.parametrize("spec", [FLEET_SPEC_V2, FLEET_SPEC_REGRESSING],
+                             ids=["v2", "regressing"])
+    def test_kernel_self_check_counters(self, server, spec):
+        """Four cohorts of six machines each are checked against the
+        scalar stores, and none falls back."""
+        plan, wire = self._wave(server, spec)
+        batch = BatchFleetCore(server, wire, 2, plan).run(
+            range(self.N_DEVICES))
+        assert len(batch.cohorts) == 4
+        assert batch.kernel_checked_machines == 24
+        assert batch.kernel_fallbacks == 0
 
 
 class TestDivergenceAndRejoin:
@@ -576,46 +621,11 @@ class TestConformanceBatched:
 
 
 # ---------------------------------------------------------------------------
-# Batch-aware result-cache keys
+# Result-cache replay of cohort rows
 # ---------------------------------------------------------------------------
 
 
 class TestBatchCacheKeys:
-    @staticmethod
-    def _sweep(layout):
-        from repro.sim.experiments import Sweep
-        return Sweep(
-            factors={"device_id": [0]},
-            build=lambda p: (None, None),
-            metrics={"completed": lambda device, result: 0},
-            batch_layout=layout,
-        )
-
-    def test_layout_changes_sweep_fingerprint(self):
-        from repro.sim.pool import sweep_fingerprint
-        scalar = sweep_fingerprint(self._sweep(None))
-        soa_a = sweep_fingerprint(self._sweep("soa/v1;backend=numpy;x"))
-        soa_b = sweep_fingerprint(self._sweep("soa/v1;backend=python;x"))
-        assert len({scalar, soa_a, soa_b}) == 3
-        assert soa_a == sweep_fingerprint(
-            self._sweep("soa/v1;backend=numpy;x"))
-
-    def test_layout_change_invalidates_cached_rows(self, tmp_path):
-        """A row produced under one SoA layout must never be served for
-        another layout (or for the scalar path): dtype/backend changes
-        change how rows were materialized."""
-        from repro.sim.pool import ResultCache, sweep_fingerprint
-        cache = ResultCache(tmp_path / "repro_cache")
-        point = {"device_id": 7}
-        row = {"device_id": 7, "completed": 1}
-        fp_numpy = sweep_fingerprint(self._sweep("soa/v1;backend=numpy;x"))
-        cache.put(cache.key_for(fp_numpy, point), row)
-        assert cache.get(cache.key_for(fp_numpy, point)) == row
-        for other in (None, "soa/v1;backend=python;x",
-                      "soa/v2;backend=numpy;x"):
-            fp = sweep_fingerprint(self._sweep(other))
-            assert cache.get(cache.key_for(fp, point)) is None, other
-
     def test_batch_core_cache_roundtrip(self, server, tmp_path):
         """A warm cache replays cohort representatives byte-identically;
         perturbed cohorts always bypass it."""

@@ -34,6 +34,7 @@ from repro.core.properties import (
 )
 from repro.statemachine.codegen_python import compile_machine
 from repro.statemachine.interpreter import MachineInstance
+from repro.statemachine.textual import parse_machine
 
 TASKS = ["A", "B", "C"]
 DATA_VAR = "v"  # the one dependent-data variable dpData properties watch
@@ -124,6 +125,26 @@ def make_stream(seed, length):
     return events
 
 
+#: ``and``/``or`` in value position: Python's ``or`` returns an operand
+#: (``1``), the IL's returns a bool (``True``).
+BOOL_VALUE_MACHINE = parse_machine("""
+machine boolValue {
+  var n: int = 0;
+  var b: bool = false;
+  initial S;
+  state S {
+    on anyEvent -> S / { n := n + 1; b := n or false; }
+  }
+}
+""")
+
+
+def same_value(a, b):
+    """Equal and of one type: ``1 == True`` holds, but a monitor that
+    stores ``1`` where the interpreter stores ``True`` has diverged."""
+    return type(a) is type(b) and a == b
+
+
 def assert_lockstep(machine, interpreted, generated, events):
     """Feed ``events`` to both instances, asserting agreement on
     verdicts, state, and every variable after each one."""
@@ -138,7 +159,8 @@ def assert_lockstep(machine, interpreted, generated, events):
             f"states diverge at event {i}: {event}"
         )
         for var in machine.variables:
-            assert interpreted.get(var.name) == generated.get(var.name), (
+            assert same_value(interpreted.get(var.name),
+                              generated.get(var.name)), (
                 f"variable {var.name!r} diverges at event {i}: {event}"
             )
 
@@ -196,10 +218,11 @@ class TestRandomPropertySetAgreement:
            seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_whole_property_set_agrees(self, props, seed):
-        """generate_machines over a random spec: every machine's
-        interpreter/generated pair stays in agreement on one shared
-        event stream (the monitor arbiter's view)."""
-        machines = generate_machines(props)
+        """generate_machines over a random spec, plus
+        :data:`BOOL_VALUE_MACHINE`: every machine's interpreter/generated
+        pair stays in agreement on one shared event stream (the monitor
+        arbiter's view)."""
+        machines = generate_machines(props) + [BOOL_VALUE_MACHINE]
         pairs = [(m, MachineInstance(m), compile_machine(m)())
                  for m in machines]
         for event in make_stream(seed, 40):
@@ -210,7 +233,8 @@ class TestRandomPropertySetAgreement:
                         == [(v.action, v.path) for v in v_gen])
                 assert interpreted.state == generated.state
                 for var in machine.variables:
-                    assert interpreted.get(var.name) == generated.get(var.name)
+                    assert same_value(interpreted.get(var.name),
+                                      generated.get(var.name))
 
 
 def test_replay_outside_hypothesis():

@@ -1,4 +1,4 @@
-"""Property tests for the streaming percentile sketches and windowed
+"""Property tests for the streaming quantile digest and windowed
 rollups the control plane aggregates telemetry with
 (:mod:`repro.fleet.digest`)."""
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.fleet.digest import (
     DigestError,
-    P2Quantile,
     QuantileDigest,
     WindowedRollup,
 )
@@ -135,38 +134,6 @@ class TestQuantileDigestMerge:
     def test_dict_round_trip(self, samples):
         d = build(samples)
         assert QuantileDigest.from_dict(d.to_dict()) == d
-
-
-class TestP2Quantile:
-    def test_exact_up_to_five_samples(self):
-        p = P2Quantile(0.5)
-        for x in (5.0, 1.0, 3.0):
-            p.add(x)
-        assert p.value() == 3.0
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
-                              allow_nan=False, allow_infinity=False),
-                    min_size=50, max_size=300))
-    @settings(max_examples=50, deadline=None)
-    def test_estimate_within_sample_range(self, samples):
-        p = P2Quantile(0.9)
-        for x in samples:
-            p.add(x)
-        assert min(samples) <= p.value() <= max(samples)
-
-    def test_uniform_median_close(self):
-        p = P2Quantile(0.5)
-        for x in range(1001):
-            p.add(float(x))
-        assert abs(p.value() - 500.0) < 10.0
-
-    def test_rejects_degenerate_quantile_and_empty_value(self):
-        with pytest.raises(DigestError):
-            P2Quantile(0.0)
-        with pytest.raises(DigestError):
-            P2Quantile(1.0)
-        with pytest.raises(DigestError):
-            P2Quantile(0.5).value()
 
 
 class TestWindowedRollupBoundaries:
