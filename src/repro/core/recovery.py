@@ -14,9 +14,12 @@ all three hazards:
    detected as corruption and discarded rather than replayed.
 2. **Checksum verification** — guarded NVM regions (runtime control
    state, monitor state, channels) are verified against their per-cell
-   checksums. A mismatching cell is reset to its allocation-time initial
-   value, then its owning component gets a chance to re-initialise
-   itself (e.g. reset the monitor machine that owned the cell).
+   checksums. Only a cell holding a recorded checksum can fail (see
+   :mod:`repro.nvm.memory`), so the scan visits only those, in
+   allocation order. A mismatching cell is reset to its
+   allocation-time initial value, then its owning component gets a
+   chance to re-initialise itself (e.g. reset the monitor machine that
+   owned the cell).
 3. **Invariant validation** — registered semantic invariants (path and
    task indices in range, runtime status a legal value, the §4.1.3
    timestamp-consistency rules, monitor machines in legal states) are
@@ -181,7 +184,8 @@ class RecoveryManager:
         return report
 
     def _verify_guarded(self, report: RecoveryReport) -> None:
-        for name in list(self._nvm):
+        # Only a cell with a recorded checksum can fail verification.
+        for name in self._nvm.recorded_cells():
             repairer = self._repairer_for(name)
             if repairer is _UNGUARDED:
                 continue

@@ -6,11 +6,18 @@ failures. A :class:`NonVolatileMemory` instance outlives the device's
 volatile state: the simulator wipes everything *except* this object on
 reboot.
 
-Integrity model: every committed write records a per-cell checksum, so
-silent corruption — injected with :meth:`NonVolatileMemory.corrupt`, the
-simulation's bit-flip fault — is detectable by :meth:`verify` without
-being observable through normal reads. Cells can also be given a wear
-limit after which they go read-only, modelling worn-out storage.
+Integrity model: silent corruption — injected with
+:meth:`NonVolatileMemory.corrupt`, the simulation's bit-flip fault — is
+detectable by :meth:`verify` without being observable through normal
+reads. Checksums are recorded lazily: a legitimate write (``set``,
+``alloc``, ``restore_initial``) drops the cell's recorded checksum, and
+a cell with no record holds exactly its last-written value, so it
+verifies without hashing. ``corrupt`` first records the checksum of the
+last-written value, then flips the bit, and :meth:`checksum` records on
+demand. Every observed checksum is therefore the one an eager
+record-on-every-write rule would hold, as long as nothing mutates a
+stored value in place. Cells can also be given a wear limit after
+which they go read-only, modelling worn-out storage.
 """
 
 from __future__ import annotations
@@ -26,10 +33,11 @@ from repro.errors import NVMError
 DEFAULT_CAPACITY_BYTES = 256 * 1024
 
 
-#: Bounded memo for checksums of small immutable scalars. Monitors,
-#: journals and the persistent clock rewrite the same handful of
-#: states and counters millions of times per fleet simulation, and the
-#: repr+CRC pair showed up as the top cost in the fleet benchmark.
+#: Bounded memo for checksums of small immutable scalars. Cell writes
+#: do not checksum (see the module docstring), but the access log
+#: signs every write under ``verify``, and monitors, journals and the
+#: persistent clock rewrite the same handful of states and counters
+#: millions of times per exploration.
 #: Keys carry the concrete type so ``True``/``1`` and ``1``/``1.0``
 #: never alias; ``±0.0`` (equal, different reprs) stays unmemoized.
 _CHECKSUM_MEMO: dict = {}
@@ -133,7 +141,7 @@ class PersistentCell:
                 f"{limit[0]} writes"
             )
         nvm._data[self.name] = value
-        nvm._checksums[self.name] = value_checksum(value)
+        nvm._checksums.pop(self.name, None)
         nvm._write_count += 1
         counts = nvm._cell_writes
         counts[self.name] = counts.get(self.name, 0) + 1
@@ -165,6 +173,7 @@ class NonVolatileMemory:
         self._used_bytes = 0
         self._write_count = 0
         self._cell_writes: Dict[str, int] = {}
+        #: Recorded checksums; a cell absent here holds its last write.
         self._checksums: Dict[str, int] = {}
         self._initials: Dict[str, Any] = {}
         self._write_limits: Dict[str, Tuple[int, bool]] = {}
@@ -219,7 +228,6 @@ class NonVolatileMemory:
         cell = PersistentCell(self, name, size_bytes)
         self._cells[name] = cell
         self._data[name] = initial
-        self._checksums[name] = value_checksum(initial)
         self._initials[name] = copy.deepcopy(initial)
         self._used_bytes += size_bytes
         return cell
@@ -260,24 +268,54 @@ class NonVolatileMemory:
     # Integrity: checksums, corruption, wear
     # ------------------------------------------------------------------
     def verify(self, name: str) -> bool:
-        """True if cell ``name`` still matches its last recorded checksum."""
+        """True if cell ``name`` still matches its last recorded checksum.
+
+        A cell with no recorded checksum holds its last-written value,
+        so it verifies without hashing.
+        """
         if name not in self._cells:
             raise NVMError(f"cell {name!r} not allocated")
-        return value_checksum(self._data[name]) == self._checksums[name]
+        recorded = self._checksums.get(name)
+        return recorded is None or value_checksum(self._data[name]) == recorded
 
     def verify_all(self) -> List[str]:
         """Names of all cells failing checksum verification."""
-        return [name for name in self._cells if not self.verify(name)]
+        return [name for name in self.recorded_cells() if not self.verify(name)]
+
+    def recorded_cells(self) -> List[str]:
+        """Cells holding a recorded checksum, in allocation order.
+
+        Only these can fail :meth:`verify`, so a boot-time scan need
+        visit no other cell.
+        """
+        checksums = self._checksums
+        if not checksums:
+            return []
+        return [name for name in self._cells if name in checksums]
+
+    def checksum(self, name: str) -> int:
+        """The cell's recorded checksum, recording it first if absent.
+
+        An absent record means the cell holds its last-written value, so
+        the checksum recorded here is the one that write would have left.
+        """
+        if name not in self._cells:
+            raise NVMError(f"cell {name!r} not allocated")
+        recorded = self._checksums.get(name)
+        if recorded is None:
+            recorded = value_checksum(self._data[name])
+            self._checksums[name] = recorded
+        return recorded
 
     def corrupt(self, name: str, bit: int = 0) -> Any:
         """Silently corrupt a cell, as a cosmic-ray bit flip would.
 
-        The stored value changes but the recorded checksum (and the write
-        counters) do not, so normal reads return the garbage while
-        :meth:`verify` detects the damage. Returns the corrupted value.
+        The checksum of the last-written value is recorded first; then
+        the stored value changes but the record (and the write counters)
+        do not, so normal reads return the garbage while :meth:`verify`
+        detects the damage. Returns the corrupted value.
         """
-        if name not in self._cells:
-            raise NVMError(f"cell {name!r} not allocated")
+        self.checksum(name)
         corrupted = _flip(self._data[name], bit)
         self._data[name] = corrupted
         return corrupted

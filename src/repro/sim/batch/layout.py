@@ -11,12 +11,15 @@ Two containers live here:
 * :class:`SoAImage` — a columnar snapshot of a
   :class:`~repro.nvm.memory.NonVolatileMemory`: cell names, values,
   sizes, checksums, initials and progress flags as parallel tuples.
-  ``restore()`` rebuilds a live NVM holding byte-identical durable
-  state (checksums are carried over verbatim, *not* recomputed, so a
-  silently corrupted cell stays detectably corrupt after the round
-  trip). The batched core uses it to share one final NVM image across a
-  cohort's devices, and the journal property tests use it to prove that
-  commit/recovery behaves identically on imaged state.
+  Capture reads each checksum through
+  :meth:`~repro.nvm.memory.NonVolatileMemory.checksum`, which records
+  it on demand. ``restore()`` rebuilds a live NVM holding
+  byte-identical durable state (checksums are carried over verbatim,
+  *not* recomputed, so a silently corrupted cell stays detectably
+  corrupt after the round trip). The batched core uses it to share one
+  final NVM image across a cohort's devices, and the journal property
+  tests use it to prove that commit/recovery behaves identically on
+  imaged state.
 """
 
 from __future__ import annotations
@@ -165,7 +168,7 @@ class SoAImage:
             names=names,
             values=tuple(copy.deepcopy(nvm._data[n]) for n in names),
             sizes=tuple(nvm._cells[n].size_bytes for n in names),
-            checksums=tuple(nvm._checksums[n] for n in names),
+            checksums=tuple(nvm.checksum(n) for n in names),
             initials=tuple(copy.deepcopy(nvm._initials[n]) for n in names),
             progress=tuple(n in nvm._progress_cells for n in names),
             write_limits=dict(nvm._write_limits),

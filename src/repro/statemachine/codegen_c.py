@@ -231,7 +231,7 @@ def generate_c_bundle(machines: List[StateMachine]) -> str:
             "",
             "void monitorFinalize(void) {",
             "    /* resume any event handling interrupted by a power failure */",
-            "    immortal_resume(callMonitor_continuation);",
+            "    immortal_resume(callMonitor);",
             "}",
             "",
         ]

@@ -332,5 +332,5 @@ void resetMonitor(void) {
 
 void monitorFinalize(void) {
     /* resume any event handling interrupted by a power failure */
-    immortal_resume(callMonitor_continuation);
+    immortal_resume(callMonitor);
 }

@@ -11,8 +11,15 @@ To accept an intended change, regenerate the references::
     PYTHONPATH=src python -m pytest tests/test_codegen_golden.py --update-goldens
 
 then commit the modified ``.c`` files. See ``docs/performance.md``.
+
+The committed goldens are also compiled with the host C compiler
+against the generated ``artemis/monitor.h`` and the ImmortalThreads
+stand-in under ``tests/c_stub/``, so generated C that would not build
+fails here rather than on the target toolchain.
 """
 
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -27,6 +34,8 @@ from repro.statemachine.codegen_c import (
 )
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
+C_STUB_DIR = Path(__file__).resolve().parent / "c_stub"
+C_COMPILER = shutil.which("gcc") or shutil.which("cc")
 
 #: One representative property per kind; parameters are fixed so the
 #: emitted C is fully deterministic.
@@ -90,3 +99,20 @@ def test_goldens_have_no_stray_files():
     expected |= {"bundle.c", "monitor_header.c"}
     actual = {p.name for p in GOLDEN_DIR.glob("*.c")}
     assert actual == expected
+
+
+@pytest.mark.skipif(C_COMPILER is None,
+                    reason="no C compiler (gcc or cc) on PATH")
+@pytest.mark.parametrize("name", ["bundle"] + sorted(GOLDEN_PROPERTIES))
+def test_golden_compiles(tmp_path, name):
+    """Each golden translation unit compiles cleanly as C99."""
+    include = tmp_path / "include"
+    (include / "artemis").mkdir(parents=True)
+    (include / "artemis" / "monitor.h").write_text(generate_c_header())
+    proc = subprocess.run(
+        [C_COMPILER, "-std=c99", "-Wall", "-Werror", "-c",
+         "-I", str(include), "-I", str(C_STUB_DIR),
+         str(GOLDEN_DIR / f"{name}.c"), "-o", str(tmp_path / f"{name}.o")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
